@@ -13,37 +13,36 @@ implementations of both behind a single selection seam:
     Scatter-add into the ``(k, m, capacity)`` count tensor plus the
     post-batch gather of each triple's final count.
 
-Backends, in selection order under ``REPRO_KERNELS=auto`` (default):
+Two backends, chosen under ``REPRO_KERNELS=auto`` (default):
 
-``numba``
-    :func:`numba.njit`-compiled versions of the loop kernels in
-    :mod:`repro.kernels._reference` — used when the optional
-    ``repro[kernels]`` extra is installed.
 ``c``
     The shipped C source (``_kernels.c``) compiled on demand with the
     system C compiler and driven through :mod:`ctypes`
-    (:mod:`repro.kernels._cbuild`).
+    (:mod:`repro.kernels._cbuild`).  Single-threaded: row parallelism
+    comes from the engine backends, which split items across workers.
 ``numpy``
     The vectorised fallback (:mod:`repro.kernels._numpy`) — always
-    available, and the conformance oracle for the other two.
+    available, and the conformance oracle for the compiled tier
+    together with the loop transcriptions in
+    :mod:`repro.kernels._reference`.
 
-Set ``REPRO_KERNELS=off`` (or ``numpy``) to force the fallback
-silently; ``REPRO_KERNELS=c`` / ``numba`` to require a specific
-compiled backend (falls back with one :class:`RuntimeWarning` if it
-cannot be built).  Under ``auto`` the degradation to NumPy also emits
-exactly one :class:`RuntimeWarning` per process.
+Under ``auto`` a C tier that cannot be built degrades to NumPy with
+exactly one :class:`RuntimeWarning` per process; ``REPRO_KERNELS=off``
+(or ``numpy``) forces the fallback silently.  Any other value warns
+that it is not recognised and selects ``auto``.
 
-Every backend is bit-identical on the supported domain (tokens and
+Both backends are bit-identical on the supported domain (tokens and
 coefficients below ``2**31``, category codes within the tensor
 capacity); ``tests/kernels/`` enforces this, and the extend/hot-pass
 property suites pin the end-to-end behaviour.  Selection is lazy (first
 kernel call) and per-process, so ``PersistentPool`` workers re-resolve
-after fork/spawn — nothing ctypes- or JIT-owned ever crosses a pickle
+after fork/spawn — nothing ctypes-owned ever crosses a pickle
 boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import warnings
@@ -51,14 +50,19 @@ import warnings
 import numpy as np
 
 from repro.kernels import _numpy
-from repro.kernels._cbuild import KernelBuildError, load_compiled
+from repro.kernels._cbuild import (
+    KernelBuildError,
+    c_count_update,
+    c_minhash_signatures,
+    load_compiled,
+)
 
 __all__ = ["minhash_signatures", "count_update", "active_backend"]
 
 _lock = threading.Lock()
 
-#: Resolved backend name ("numba" | "c" | "numpy"), or None before the
-#: first kernel call.
+#: Resolved backend name ("c" | "numpy"), or None before the first
+#: kernel call.
 _backend: str | None = None
 
 #: Implementation pair for the resolved backend.
@@ -72,10 +76,6 @@ def _requested() -> str:
         return "auto"
     if value in ("off", "0", "none", "numpy", "disable", "disabled"):
         return "numpy"
-    if value in ("c", "cc", "ctypes"):
-        return "c"
-    if value == "numba":
-        return "numba"
     warnings.warn(
         f"REPRO_KERNELS={value!r} not recognised; using auto selection",
         RuntimeWarning,
@@ -84,61 +84,16 @@ def _requested() -> str:
     return "auto"
 
 
-def _try_numba():
-    """Build the numba tier if the optional extra is installed."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    return _build_numba(numba)  # pragma: no cover
-
-
-def _build_numba(numba):  # pragma: no cover - requires repro[kernels]
-    """JIT-compile the loop kernels from :mod:`repro.kernels._reference`."""
-    from repro.kernels import _reference
-
-    jit_minhash = numba.njit(cache=True)(_reference.minhash_signatures_loop)
-    jit_counts = numba.njit(cache=True)(_reference.count_update_loop)
-
-    def minhash(indices, indptr, a, b, empty_slot):
-        out = np.empty((len(indptr) - 1, len(a)), dtype=np.int64)
-        return jit_minhash(indices, indptr, a, b, empty_slot, out)
-
-    def counts(dense, values, labels):
-        order = np.argsort(labels, kind="stable")
-        new_counts = np.empty(values.shape, dtype=np.int64)
-        return jit_counts(dense, values, labels, order, new_counts)
-
-    try:
-        # Trigger compilation now so a broken install degrades to the
-        # next tier instead of failing mid-batch.
-        minhash(
-            np.zeros(0, dtype=np.int64),
-            np.zeros(2, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            0,
-        )
-    except Exception:
-        return None
-    return minhash, counts
-
-
 def _try_c():
     """Build/load the shipped C kernels; None when that fails."""
     try:
         library = load_compiled()
     except KernelBuildError:
         return None
-    from repro.kernels._cbuild import c_count_update, c_minhash_signatures
-
-    def minhash(indices, indptr, a, b, empty_slot):
-        return c_minhash_signatures(library, indices, indptr, a, b, empty_slot)
-
-    def counts(dense, values, labels):
-        return c_count_update(library, dense, values, labels)
-
-    return minhash, counts
+    return (
+        functools.partial(c_minhash_signatures, library),
+        functools.partial(c_count_update, library),
+    )
 
 
 def _select() -> None:
@@ -147,26 +102,17 @@ def _select() -> None:
     with _lock:
         if _backend is not None:
             return
-        requested = _requested()
-        candidates = {
-            "auto": ("numba", "c"),
-            "numba": ("numba",),
-            "c": ("c",),
-            "numpy": (),
-        }[requested]
-        for name in candidates:
-            pair = _try_numba() if name == "numba" else _try_c()
+        if _requested() == "auto":
+            pair = _try_c()
             if pair is not None:
                 _impl_minhash, _impl_counts = pair
-                _backend = name
+                _backend = "c"
                 return
-        if candidates:
-            # A compiled backend was wanted but none could be built:
+            # The compiled tier was wanted but could not be built:
             # degrade loudly (once), never incorrectly.
             warnings.warn(
-                "repro.kernels: no compiled backend available "
-                f"(REPRO_KERNELS={requested}); falling back to the "
-                "pure-NumPy kernels",
+                "repro.kernels: the compiled C backend is unavailable; "
+                "falling back to the pure-NumPy kernels",
                 RuntimeWarning,
                 stacklevel=4,
             )
@@ -185,8 +131,7 @@ def _reset_backend() -> None:
 
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: ``"numba"``, ``"c"`` or
-    ``"numpy"``.
+    """Name of the kernel backend in use: ``"c"`` or ``"numpy"``.
 
     Resolves the backend on first call; the result is stable for the
     rest of the process (or until ``_reset_backend()`` in tests).

@@ -12,8 +12,9 @@ library under a cache directory and loads it with :mod:`ctypes`:
   converge on one artifact;
 * the build lands via an atomic rename — racing processes may both
   compile, but the loaded library is always complete;
-* OpenMP is attempted first and silently dropped when the compiler
-  lacks it (kernel results are thread-count independent);
+* the library is single-threaded (plain ``-O3``): row parallelism is
+  the engine backends' job, and a thread team started in a parent
+  process would not survive the ``fork`` of its pool workers;
 * any failure (no compiler, sandboxed tmpdir, bad flags) raises
   :class:`KernelBuildError`, which the selector in
   :mod:`repro.kernels` turns into the NumPy fallback plus one warning.
@@ -41,11 +42,7 @@ __all__ = ["KernelBuildError", "load_compiled", "build_cache_dir"]
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
 
-#: Flag sets tried in order; the first successful compile wins.
-_FLAG_SETS = (
-    ("-O3", "-fPIC", "-shared", "-fopenmp"),
-    ("-O3", "-fPIC", "-shared"),
-)
+_FLAGS = ("-O3", "-fPIC", "-shared")
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 
@@ -75,28 +72,22 @@ def _compile(source_path: Path, target: Path) -> None:
     """Compile ``source_path`` into ``target`` (atomic via rename)."""
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    errors = []
-    for flags in _FLAG_SETS:
-        command = [_compiler(), *flags, str(source_path), "-o", str(scratch)]
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, timeout=120
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            errors.append(f"{' '.join(command)}: {exc}")
-            continue
+    command = [_compiler(), *_FLAGS, str(source_path), "-o", str(scratch)]
+    try:
+        result = subprocess.run(
+            command, capture_output=True, text=True, timeout=120
+        )
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        error = str(exc)
+    else:
         if result.returncode == 0:
             os.replace(scratch, target)
             return
-        errors.append(
-            f"{' '.join(command)}: exit {result.returncode}: "
-            f"{result.stderr.strip()[:500]}"
-        )
+        error = f"exit {result.returncode}: {result.stderr.strip()[:500]}"
     if scratch.exists():  # pragma: no cover - best-effort cleanup
         scratch.unlink(missing_ok=True)
     raise KernelBuildError(
-        "could not compile the hot-path kernels; tried:\n  "
-        + "\n  ".join(errors)
+        f"could not compile the hot-path kernels: {' '.join(command)}: {error}"
     )
 
 

@@ -1,17 +1,10 @@
-"""Loop-form kernel reference implementations.
+"""Loop-form kernel reference implementations — the conformance oracle.
 
 These functions express the two hot-path kernels as plain element-wise
-loops over preallocated arrays.  They serve two roles:
-
-* **oracle** — the conformance suite recomputes small cases through
-  them (they are the most direct transcription of the semantics, with
-  no vectorisation tricks to hide a bug);
-* **JIT source** — they are written in the nopython-compatible subset
-  of Python, so the optional Numba backend (``pip install
-  repro[kernels]``) compiles these exact functions with ``numba.njit``
-  — one set of semantics, three executions (C / Numba / NumPy).
-
-Keep them free of Python objects, closures and fancy indexing.
+loops over preallocated arrays: the most direct transcription of the
+semantics, with no vectorisation tricks to hide a bug.  The
+conformance suite recomputes small cases through them and requires the
+C and NumPy backends to agree bit for bit.
 """
 
 from __future__ import annotations

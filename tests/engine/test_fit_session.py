@@ -5,11 +5,18 @@ and every post-open array reaching process workers through zero-copy
 or shared-memory transport — never through per-task pickles.
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.engine import (
@@ -79,6 +86,83 @@ class TestOnePoolPerFit:
         assert model.stats_.phase_s["session_open"] >= 0.0
         serial = _fit(X, initial, "serial")
         assert serial.stats_.phase_s["session_open"] == 0.0
+
+
+_KERNEL_THEN_FORK = """
+import sys
+
+import numpy as np
+
+from repro import kernels
+from repro.api import EngineSpec, LSHSpec, TrainSpec
+from repro.core.mh_kmodes import MHKModes
+
+workload = np.load(sys.argv[1])
+rng = np.random.default_rng(0)
+tokens = rng.integers(0, 1 << 20, size=4000 * 8, dtype=np.int64)
+indptr = np.arange(0, tokens.size + 1, 8, dtype=np.int64)
+a = rng.integers(1, (1 << 31) - 1, size=64, dtype=np.int64)
+b = rng.integers(0, (1 << 31) - 1, size=64, dtype=np.int64)
+kernels.minhash_signatures(tokens, indptr, a, b, (1 << 31) - 1)
+
+model = MHKModes(
+    8,
+    lsh=LSHSpec(bands=8, rows=2, seed=0),
+    engine=EngineSpec(backend="process", n_jobs=2),
+    train=TrainSpec(max_iter=10, update_refs="batch"),
+)
+model.fit(workload["X"], initial_centroids=workload["initial"])
+np.save(sys.argv[2], model.labels_)
+"""
+
+
+class TestForkAfterKernelCall:
+    def test_process_fit_after_an_in_process_kernel_call(self, workload, tmp_path):
+        """A process-backend fit must not hang after the parent ran a kernel.
+
+        The child process runs the compiled MinHash kernel on 4000 rows
+        before forking its pool workers, as a serving or streaming
+        process does.  A kernel that starts a thread team in the parent
+        (OpenMP) leaves the forked workers deadlocked.  The team only
+        starts on a machine with two or more CPUs, so this test can
+        only catch that regression there.
+        """
+        X, initial = workload
+        np.savez(tmp_path / "workload.npz", X=X, initial=initial)
+        env = dict(os.environ)
+        env.pop("OMP_NUM_THREADS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _KERNEL_THEN_FORK,
+                str(tmp_path / "workload.npz"),
+                str(tmp_path / "labels.npy"),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, stderr = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            # the hung pool workers share the child's session: kill them too
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the process-backend fit hung after a kernel call")
+        assert child.returncode == 0, stderr
+        serial = MHKModes(
+            8,
+            lsh=LSHSpec(bands=8, rows=2, seed=0),
+            engine=EngineSpec(),
+            train=TrainSpec(max_iter=10, update_refs="batch"),
+        ).fit(X, initial_centroids=initial)
+        assert np.array_equal(np.load(tmp_path / "labels.npy"), serial.labels_)
 
 
 class TestSerialBatchVectorised:

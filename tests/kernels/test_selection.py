@@ -60,7 +60,7 @@ class TestSelection:
     @pytest.mark.skipif(not _HAVE_CC, reason="no C toolchain available")
     def test_auto_prefers_a_compiled_backend(self, fresh_selection, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert kernels.active_backend() in ("numba", "c")
+        assert kernels.active_backend() == "c"
 
     def test_active_backend_is_stable(self, fresh_selection, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "off")
@@ -68,10 +68,11 @@ class TestSelection:
         kernels._select()  # re-selection is an idempotent no-op
         assert kernels.active_backend() == "numpy"
 
+    @pytest.mark.parametrize("value", ["warp-speed", "c", "numba"])
     def test_unrecognised_value_warns_and_uses_auto(
-        self, fresh_selection, monkeypatch, tmp_path
+        self, fresh_selection, monkeypatch, tmp_path, value
     ):
-        monkeypatch.setenv("REPRO_KERNELS", "warp-speed")
+        monkeypatch.setenv("REPRO_KERNELS", value)
         _break_compiled(monkeypatch, tmp_path)
         with pytest.warns(RuntimeWarning) as caught:
             backend = kernels.active_backend()
@@ -80,25 +81,12 @@ class TestSelection:
         assert any("not recognised" in m for m in messages)
         assert any("falling back" in m for m in messages)
 
-    def test_numba_requested_but_missing_falls_back(
-        self, fresh_selection, monkeypatch
-    ):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("numba installed; forced-missing case not testable")
-        monkeypatch.setenv("REPRO_KERNELS", "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert kernels.active_backend() == "numpy"
-
 
 class TestForcedFallback:
     def test_unbuildable_c_warns_once_and_matches_numpy(
         self, fresh_selection, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_KERNELS", "c")
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
         _break_compiled(monkeypatch, tmp_path)
         indices, indptr, a, b = _tiny_case()
         with pytest.warns(RuntimeWarning, match="falling back"):
@@ -122,7 +110,7 @@ class TestForcedFallback:
     def test_fallback_count_update_matches_numpy(
         self, fresh_selection, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_KERNELS", "c")
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
         _break_compiled(monkeypatch, tmp_path)
         dense_got = np.zeros((2, 2, 5), dtype=np.int64)
         dense_want = dense_got.copy()
