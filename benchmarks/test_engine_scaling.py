@@ -1,7 +1,7 @@
 """Engine scaling — end-to-end fit wall-time versus backend / n_jobs.
 
 The workload is the Figure 2 configuration scaled up to 20 000 items
-(same 60 attributes; k = 800), the regime the ROADMAP's sharding /
+(same 60 attributes; k = 800), the regime the ROADMAP's
 multi-backend north star targets.  Every backend starts from the same
 initial modes and runs batch updates, so the runs are comparable *and*
 must produce identical labels; the table records how the wall time

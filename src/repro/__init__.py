@@ -40,9 +40,9 @@ Package map — each subpackage is documented in its own ``__init__``:
 * :mod:`repro.kmodes` — exhaustive K-Modes baseline
 * :mod:`repro.kmeans` — K-Means / mini-batch / LSH-K-Means (numeric extension)
 * :mod:`repro.lsh` — MinHash, banding, the clustered index, SimHash, p-stable
-* :mod:`repro.engine` — serial/thread/process execution backends, the
-  sharded index powering parallel fits (``EngineSpec`` / ``backend=``)
-  and the persistent worker pools shared with serving
+* :mod:`repro.engine` — serial/thread/process execution backends
+  powering parallel fits (``EngineSpec`` / ``backend=``) and the
+  persistent worker pools shared with serving
 * :mod:`repro.serve` — :class:`ModelServer`, concurrent batch-predict
   serving on :class:`ClusterModel` (``ServeSpec`` / ``repro serve``)
 * :mod:`repro.data` — datgen clone, Yahoo-like corpus, TF-IDF pipeline, I/O
@@ -94,7 +94,6 @@ from repro.engine import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ShardedClusteredLSHIndex,
     ThreadBackend,
     resolve_backend,
 )
@@ -162,7 +161,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
-    "ShardedClusteredLSHIndex",
     # data
     "CategoricalDataset",
     "RuleBasedGenerator",

@@ -35,7 +35,6 @@ LEGACY_PARAMETER_MAP: dict[str, tuple[str, str]] = {
     # EngineSpec
     "backend": ("engine", "backend"),
     "n_jobs": ("engine", "n_jobs"),
-    "n_shards": ("engine", "n_shards"),
     "chunk_items": ("engine", "chunk_items"),
     "start_method": ("engine", "start_method"),
     # TrainSpec

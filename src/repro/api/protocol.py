@@ -244,10 +244,6 @@ class SpecAttributeSurface:
         return self.engine.n_jobs
 
     @property
-    def n_shards(self) -> int | None:
-        return self.engine.n_shards
-
-    @property
     def chunk_items(self) -> int:
         return self.engine.chunk_items
 

@@ -9,7 +9,7 @@ groups first class:
   survey literature treats as *the* declarative description of an
   index (family, bands, rows, quantisation width, seed);
 * :class:`EngineSpec` — where a fit executes (backend, workers,
-  shards, chunking, process start method);
+  chunking, process start method);
 * :class:`TrainSpec` — how the clustering loop behaves (initialisation,
   iteration cap, reference-update mode, empty-cluster policy, cost
   tracking, predict fallback);
@@ -250,9 +250,6 @@ class EngineSpec(Spec):
         ``'process'``.
     n_jobs:
         Worker count for parallel backends (``None``: one per CPU).
-    n_shards:
-        Index shard count (``None``: one per worker when parallel,
-        unsharded when serial; results are shard-count invariant).
     chunk_items:
         Row-chunk size of the exhaustive setup pass.
     start_method:
@@ -263,14 +260,12 @@ class EngineSpec(Spec):
 
     backend: str = "serial"
     n_jobs: int | None = None
-    n_shards: int | None = None
     chunk_items: int = 256
     start_method: str | None = None
 
     def validate(self) -> None:
         _require_choice(self.backend, "backend", BACKEND_NAMES)
         _require_positive(self.n_jobs, "n_jobs", optional=True)
-        _require_positive(self.n_shards, "n_shards", optional=True)
         _require_positive(self.chunk_items, "chunk_items")
         _require_choice(
             self.start_method, "start_method", START_METHODS, optional=True

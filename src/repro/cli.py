@@ -9,9 +9,8 @@ Six subcommands mirror the library's workflow:
   an :class:`~repro.api.LSHSpec` / :class:`~repro.api.EngineSpec` /
   :class:`~repro.api.TrainSpec` triple from a JSON file (the
   ``to_dict`` round-trip format), individual flags — ``--bands``,
-  ``--backend``, ``--jobs``, ``--shards``, ... — override spec-file
-  fields, and ``--save`` persists the fitted model (npz + json
-  sidecar);
+  ``--backend``, ``--jobs``, ... — override spec-file fields, and
+  ``--save`` persists the fitted model (npz + json sidecar);
 * ``extend`` — bootstrap a :class:`~repro.core.StreamingMHKModes` on
   the head of a saved dataset and stream the rest in through the
   chunked batch-ingest pipeline, printing per-chunk phase timings
@@ -120,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker count for parallel backends (default: one per CPU)",
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="index shard count (default: one per worker when parallel)",
     )
     run.add_argument(
         "--save",
@@ -407,7 +400,6 @@ def _resolve_cluster_specs(args: argparse.Namespace):
         for key, value in (
             ("backend", args.backend),
             ("n_jobs", args.jobs),
-            ("n_shards", args.shards),
         )
         if value is not None
     }
@@ -482,9 +474,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.algorithm == "kmodes":
-        if engine.backend != "serial" or engine.n_jobs is not None or engine.n_shards is not None:
+        if engine.backend != "serial" or engine.n_jobs is not None:
             print(
-                "warning: --backend/--jobs/--shards apply to mh-kmodes only; "
+                "warning: --backend/--jobs apply to mh-kmodes only; "
                 "the exhaustive kmodes baseline runs in-process",
                 file=sys.stderr,
             )

@@ -52,12 +52,7 @@ from repro.core.shortlist import (
     apply_fallback,
     best_centroids_full_scan,
 )
-from repro.engine import (
-    ClusteringEngine,
-    SerialBackend,
-    ShardedClusteredLSHIndex,
-    resolve_engine,
-)
+from repro.engine import ClusteringEngine, resolve_engine
 from repro.engine.parallel import best_shortlisted_centroids
 from repro.exceptions import (
     ConfigurationError,
@@ -92,9 +87,9 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         default spec.
     engine:
         :class:`~repro.api.EngineSpec` — execution backend, worker
-        count, index shard count, setup chunking and process start
-        method.  ``'serial'`` (the default) reproduces the paper's
-        exact loop; results are invariant to backend and shard count.
+        count, setup chunking and process start method.  ``'serial'``
+        (the default) reproduces the paper's exact loop; results are
+        invariant to the backend.
     train:
         :class:`~repro.api.TrainSpec` — initialisation, ``max_iter``,
         reference-update mode (``'online'`` per the paper on serial,
@@ -118,9 +113,8 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         Per-iteration series (time, moves, mean shortlist size); the
         setup pass is recorded in ``stats_.setup_s``.
     index_:
-        The built :class:`~repro.lsh.index.ClusteredLSHIndex` (or
-        :class:`~repro.engine.ShardedClusteredLSHIndex` when the fit
-        ran sharded).
+        The built :class:`~repro.lsh.index.ClusteredLSHIndex` (the
+        same layout on every backend).
 
     All fitted attributes raise
     :class:`~repro.exceptions.NotFittedError` before ``fit`` completes;
@@ -209,7 +203,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         self._centroids: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._stats: RunStats | None = None
-        self._index: ClusteredLSHIndex | ShardedClusteredLSHIndex | None = None
+        self._index: ClusteredLSHIndex | None = None
 
     # -- legacy read surface: SpecAttributeSurface, with update_refs
     # resolved against the backend --------------------------------------
@@ -243,7 +237,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         return self._stats
 
     @property
-    def index_(self) -> ClusteredLSHIndex | ShardedClusteredLSHIndex:
+    def index_(self) -> ClusteredLSHIndex:
         """The built clustered index."""
         check_fitted(self)
         return self._index
@@ -251,9 +245,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
     def _make_engine(self) -> ClusteringEngine:
         """The engine executing this estimator's fit phases."""
         if self._backend_instance is not None:
-            return ClusteringEngine(
-                self._backend_instance, n_shards=self.engine.n_shards
-            )
+            return ClusteringEngine(self._backend_instance)
         return resolve_engine(self.engine)
 
     # -- the fitted-model artifact --------------------------------------
@@ -295,18 +287,18 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         """Adopt a :class:`~repro.api.ClusterModel`'s fitted state.
 
         Called on a freshly constructed estimator by
-        :meth:`ClusterModel.to_estimator`; the index is rebuilt from
-        the band keys in-process (results are backend-invariant and a
-        read-only load should not fork a worker pool as a side
-        effect), honouring the persisted shard count.
+        :meth:`ClusterModel.to_estimator`; the index is rebuilt
+        in-process from the band keys (a read-only load should not fork
+        a worker pool as a side effect).
         """
         super()._restore_fit_state(model)
         if model.band_keys is not None:
-            engine = ClusteringEngine(
-                SerialBackend(), n_shards=self.engine.n_shards
-            )
-            self._index = engine.index_from_band_keys(
-                self, np.array(model.band_keys), np.array(model.assignments)
+            self._index = ClusteredLSHIndex.from_band_keys(
+                self.bands,
+                self.rows,
+                np.array(model.band_keys),
+                np.array(model.assignments),
+                precompute_neighbours=self.precompute_neighbours,
             )
 
     # ------------------------------------------------------------------
@@ -496,7 +488,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         X: np.ndarray,
         centroids: np.ndarray,
         labels: np.ndarray,
-        index: ClusteredLSHIndex | ShardedClusteredLSHIndex,
+        index: ClusteredLSHIndex,
         accumulator: ShortlistAccumulator,
     ) -> tuple[np.ndarray, int]:
         """One assignment pass over all items using index shortlists.

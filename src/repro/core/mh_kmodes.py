@@ -51,8 +51,8 @@ class MHKModes(BaseLSHAcceleratedClustering):
         (50, 5) and (1, 1); see
         :func:`repro.core.parameters.suggest_bands_rows` for guidance.
     engine:
-        :class:`~repro.api.EngineSpec` (backend / workers / shards /
-        setup chunking).
+        :class:`~repro.api.EngineSpec` (backend / workers / setup
+        chunking).
     train:
         :class:`~repro.api.TrainSpec`; ``init`` may be ``'random'``
         (the paper), ``'huang'`` or ``'cao'``, and

@@ -486,10 +486,9 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         :class:`~repro.api.TrainSpec`, configuring both the bootstrap
         fit and the streaming index (as in :class:`repro.core.MHKModes`).
         With ``train.update_refs='batch'`` the bootstrap runs the
-        engine's vectorised batch passes on any backend; with
-        ``engine.n_shards > 1`` the insertable index is a
-        :class:`~repro.engine.ShardedClusteredLSHIndex` and streamed
-        arrivals are hashed into the shards round-robin.
+        engine's vectorised batch passes on any backend; every backend
+        builds the same insertable
+        :class:`~repro.lsh.index.ClusteredLSHIndex`.
     stream:
         :class:`~repro.api.StreamSpec` — how :meth:`extend` batches are
         ingested (hashing backend/workers and the chunk size bounding

@@ -15,8 +15,8 @@ estimator-own parameters and fitted scalars — human-readable
 provenance.  The clustered LSH index is *not* serialised bucket by
 bucket: band keys fully determine the buckets *and* the flat CSR
 neighbour storage, so a loaded model predicts exactly like the
-original — same shortlists, same CSR fast paths — including sharded
-fits, which can be saved on one machine and reloaded on another.
+original — same shortlists, same CSR fast paths — whichever backend
+fitted it, and can be saved on one machine and reloaded on another.
 Streamed inserts are persisted too: the band-key/assignment views
 cover every inserted item, and the archive stores compact copies,
 never the index's over-allocated growth buffers.
@@ -270,6 +270,14 @@ def load_cluster_model(path: str | Path):
             f"{sidecar_path} is missing the engine/train specs"
         )
 
+    # Sidecars written while EngineSpec had an index shard count carry
+    # an "n_shards" entry (usually null).  The value never changed a
+    # label, so it is dropped here rather than rejected; spec files and
+    # engine dicts still fail loudly on it.
+    engine = specs["engine"]
+    if isinstance(engine, dict):
+        engine = {k: v for k, v in engine.items() if k != "n_shards"}
+
     with np.load(path, allow_pickle=False) as archive:
         if "centroids" not in archive.files:
             raise DataValidationError(
@@ -293,7 +301,7 @@ def load_cluster_model(path: str | Path):
         n_clusters=sidecar.get("n_clusters", 0),
         centroids=centroids,
         lsh=None if specs.get("lsh") is None else LSHSpec.from_dict(specs["lsh"]),
-        engine=EngineSpec.from_dict(specs["engine"]),
+        engine=EngineSpec.from_dict(engine),
         train=TrainSpec.from_dict(specs["train"]),
         labels=labels,
         band_keys=band_keys,

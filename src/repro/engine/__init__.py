@@ -1,8 +1,8 @@
 """Pluggable parallel execution for the clustering framework.
 
-The engine subsystem scales every phase of an LSH-accelerated fit —
-signature hashing, index construction, the per-iteration shortlist
-assignment — across workers, behind one seam:
+The engine subsystem scales the heavy phases of an LSH-accelerated
+fit — the exhaustive setup pass, signature hashing, the per-iteration
+shortlist assignment — across workers, behind one seam:
 
 * :mod:`repro.engine.backends` — ``serial`` / ``thread`` / ``process``
   :class:`ExecutionBackend` strategies with reusable worker sessions;
@@ -13,18 +13,15 @@ assignment — across workers, behind one seam:
 * :mod:`repro.engine.pool` — :class:`PersistentPool`, the worker pool
   with an explicit lifetime shared by fit sessions and the serving
   layer (:mod:`repro.serve`);
-* :mod:`repro.engine.sharded_index` —
-  :class:`ShardedClusteredLSHIndex`, per-shard bucket tables whose
-  union reproduces the global index exactly (shard-count invariant);
 * :mod:`repro.engine.parallel` — :class:`ClusteringEngine`, whose
-  fit-lifetime session runs every phase — including the vectorised
+  fit-lifetime session runs those phases — including the vectorised
   batch assignment pass — on one worker pool per fit.
 
-Estimators expose it as ``backend=`` / ``n_jobs=`` / ``n_shards=``
-parameters; the default ``backend='serial'`` reproduces the paper's
-online semantics byte for byte, while batch updates run a vectorised
-pass whose labels are identical across backends, chunkings and shard
-counts.
+Estimators expose it as ``backend=`` / ``n_jobs=`` parameters; the
+default ``backend='serial'`` reproduces the paper's online semantics
+byte for byte, while batch updates run a vectorised pass whose labels
+are identical across backends and chunkings.  Every backend builds the
+same :class:`~repro.lsh.index.ClusteredLSHIndex`.
 """
 
 from repro.engine.backends import (
@@ -39,7 +36,6 @@ from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.parallel import ClusteringEngine, resolve_engine
 from repro.engine.pool import PersistentPool, live_pool_count
 from repro.engine.shared import SharedArray, resolve_array
-from repro.engine.sharded_index import ShardedClusteredLSHIndex
 
 __all__ = [
     "BACKEND_NAMES",
@@ -56,5 +52,4 @@ __all__ = [
     "live_pool_count",
     "SharedArray",
     "resolve_array",
-    "ShardedClusteredLSHIndex",
 ]

@@ -8,7 +8,7 @@ list of small tasks (usually item spans), where
   :class:`BackendSession` (the item matrix and the model's kernels —
   the engine opens **one** session per fit and it serves every phase);
 * ``dynamic`` is small per-call state (current centroids and labels);
-* ``task`` is the unit of work (a ``(start, stop)`` span, a shard id).
+* ``task`` is the unit of work (usually a ``(start, stop)`` span).
 
 Backends differ only in *where* the kernel runs:
 

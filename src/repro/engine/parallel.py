@@ -11,16 +11,16 @@ exhaustive setup pass to the last iteration:
 * **signatures** — row chunks through ``_signatures`` after the model
   has frozen any data-dependent encoding state (``_prepare_signatures``
   runs at session open, *before* process workers snapshot the model);
-* **index build** — one bucket-run task per shard, assembled into a
-  :class:`~repro.engine.sharded_index.ShardedClusteredLSHIndex`;
+* **index build** — in-process on every backend, into the one
+  :class:`~repro.lsh.index.ClusteredLSHIndex` layout;
 * **assignment passes** — the per-iteration hot loop.
 
 Bulky state crosses into workers exactly once.  The item matrix rides
 the session's static payload (copy-on-write under ``fork``, a
 :mod:`multiprocessing.shared_memory` segment under ``spawn``); state
-created *after* the pool opened — band keys, the flattened neighbour
-CSR — always travels as shared-memory handles inside the small
-per-task ``dynamic`` tuples (see :mod:`repro.engine.shared`).
+created *after* the pool opened — the flattened neighbour CSR —
+always travels as shared-memory handles inside the small per-task
+``dynamic`` tuples (see :mod:`repro.engine.shared`).
 
 Semantics: with ``update_refs='online'`` the serial backend runs the
 paper's exact per-item pass (reassignments visible to later items in
@@ -34,8 +34,8 @@ shortlist), padded into a dense block, and scored with the model's
 cluster whenever it is at least as close as the best candidate; first
 minimum wins among the sorted shortlist), so a batch pass partitions
 into chunks without changing any per-item decision — labels are
-identical for any chunking, any shard count, and any backend, which
-the backend-equivalence tests assert exactly.
+identical for any chunking and any backend, which the
+backend-equivalence tests assert exactly.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.pool import PersistentPool
 from repro.engine.shared import SharedArray, resolve_array
-from repro.engine.sharded_index import ShardedClusteredLSHIndex, _build_shard_tables
 from repro.exceptions import ConfigurationError
-from repro.lsh.bands import compute_band_keys
 from repro.obs import span as trace_span
 from repro.obs import traced
 from repro.lsh.index import ClusteredLSHIndex
@@ -61,8 +59,6 @@ _BLOCK_ELEMENT_BUDGET = 4_000_000
 
 #: Items handled per vectorised sub-block before memory capping.
 _BLOCK_ITEMS = 1024
-
-AnyIndex = ClusteredLSHIndex | ShardedClusteredLSHIndex
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +247,7 @@ def _assignment_chunk(
 
 
 def _pass_neighbour_csr(
-    index: AnyIndex, n: int
+    index: ClusteredLSHIndex, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(group_of, indptr, indices)`` CSR the batch kernels walk.
 
@@ -277,6 +273,17 @@ def _pass_neighbour_csr(
 # ----------------------------------------------------------------------
 
 
+def _build_index(
+    model, signatures: np.ndarray, labels: np.ndarray
+) -> ClusteredLSHIndex:
+    """The fit's clustered index, built in-process on any backend."""
+    return ClusteredLSHIndex(
+        model.bands,
+        model.rows,
+        precompute_neighbours=model.precompute_neighbours,
+    ).build(signatures, labels)
+
+
 class _SerialFitSession:
     """In-process fit session: the model's own kernels, zero overhead.
 
@@ -290,11 +297,10 @@ class _SerialFitSession:
     #: Pool spin-up cost; zero by construction for the serial session.
     open_s = 0.0
 
-    def __init__(self, engine: "ClusteringEngine", model, X: np.ndarray):
-        self._engine = engine
+    def __init__(self, model, X: np.ndarray):
         self._model = model
         self._X = X
-        self._index: AnyIndex | None = None
+        self._index: ClusteredLSHIndex | None = None
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __enter__(self) -> "_SerialFitSession":
@@ -311,8 +317,10 @@ class _SerialFitSession:
     def compute_signatures(self) -> np.ndarray:
         return self._model._signatures(self._X)
 
-    def build_index(self, signatures: np.ndarray, labels: np.ndarray) -> AnyIndex:
-        self._index = self._engine.build_index(self._model, signatures, labels)
+    def build_index(
+        self, signatures: np.ndarray, labels: np.ndarray
+    ) -> ClusteredLSHIndex:
+        self._index = _build_index(self._model, signatures, labels)
         return self._index
 
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
@@ -343,18 +351,16 @@ class _ParallelFitSession:
 
     Opening the session spins up the backend's workers exactly once
     (``open_s`` records the cost); the item matrix is pinned as static
-    session state, and everything computed later — band keys, the
-    per-item neighbour CSR — reaches the workers through
+    session state, and everything computed later — the per-item
+    neighbour CSR — reaches the workers through
     :class:`~repro.engine.shared.SharedArray` handles riding the small
     per-task ``dynamic`` tuples.
     """
 
-    def __init__(self, engine: "ClusteringEngine", model, X: np.ndarray):
-        self._engine = engine
+    def __init__(self, backend: ExecutionBackend, model, X: np.ndarray):
         self._model = model
         self._X = X
         self._n = X.shape[0]
-        backend = engine.backend
         self._backend = backend
         # Freeze data-dependent encoding state (e.g. the inferred token
         # domain) on the FULL matrix before workers snapshot the model,
@@ -380,7 +386,7 @@ class _ParallelFitSession:
                 metrics=True,  # ship process-worker kernel spans home
             )
         self.open_s = open_span.wall_s
-        self._index: AnyIndex | None = None
+        self._index: ClusteredLSHIndex | None = None
         self._csr_refs: tuple[SharedArray, SharedArray, SharedArray] | None = None
 
     def __enter__(self) -> "_ParallelFitSession":
@@ -407,24 +413,12 @@ class _ParallelFitSession:
         spans = chunk_ranges(self._n, self._backend.n_jobs)
         return np.concatenate(self._pool.run(_signature_chunk, spans))
 
-    def build_index(self, signatures: np.ndarray, labels: np.ndarray) -> AnyIndex:
-        model = self._model
-        shards = self._engine.resolved_shards()
-        band_keys = compute_band_keys(signatures, model.bands, model.rows)
-        keys_ref = self._share(band_keys)
-        spans = chunk_ranges(self._n, shards)
-        runs = self._pool.run(
-            _build_shard_tables, spans, dynamic=(keys_ref, model.bands)
-        )
-        self._index = ShardedClusteredLSHIndex.from_shard_runs(
-            model.bands,
-            model.rows,
-            band_keys,
-            labels,
-            runs,
-            n_shards=shards,
-            precompute_neighbours=model.precompute_neighbours,
-        )
+    def build_index(
+        self, signatures: np.ndarray, labels: np.ndarray
+    ) -> ClusteredLSHIndex:
+        # In the parent, as a serial fit: the workers only ever read
+        # the neighbour CSR the index yields.
+        self._index = _build_index(self._model, signatures, labels)
         return self._index
 
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
@@ -469,26 +463,14 @@ class ClusteringEngine:
     ----------
     backend:
         Where kernels run; see :mod:`repro.engine.backends`.
-    n_shards:
-        Shard count for the index.  ``None`` means one shard per
-        worker for parallel backends and an unsharded
-        :class:`~repro.lsh.index.ClusteredLSHIndex` for serial.
     """
 
-    def __init__(self, backend: ExecutionBackend, n_shards: int | None = None):
-        if n_shards is not None and n_shards <= 0:
-            raise ConfigurationError(f"n_shards must be positive, got {n_shards}")
+    def __init__(self, backend: ExecutionBackend):
         self.backend = backend
-        self.n_shards = n_shards
 
     @property
     def is_parallel(self) -> bool:
         return self.backend.is_parallel
-
-    def resolved_shards(self) -> int:
-        if self.n_shards is not None:
-            return self.n_shards
-        return self.backend.n_jobs if self.is_parallel else 1
 
     def fit_session(self, model, X: np.ndarray) -> EngineFitSession:
         """Open the one session serving every phase of this fit.
@@ -498,55 +480,8 @@ class ClusteringEngine:
         session.
         """
         if not self.is_parallel:
-            return _SerialFitSession(self, model, X)
-        return _ParallelFitSession(self, model, X)
-
-    # -- standalone index construction (serial helpers) -----------------
-
-    def build_index(
-        self, model, signatures: np.ndarray, labels: np.ndarray
-    ) -> AnyIndex:
-        """Build the clustered index (sharded when shards > 1)."""
-        shards = self.resolved_shards()
-        if shards == 1 and not self.is_parallel:
-            index = ClusteredLSHIndex(
-                model.bands,
-                model.rows,
-                precompute_neighbours=model.precompute_neighbours,
-            )
-            index.build(signatures, labels)
-            return index
-        sharded = ShardedClusteredLSHIndex(
-            model.bands,
-            model.rows,
-            n_shards=shards,
-            precompute_neighbours=model.precompute_neighbours,
-        )
-        sharded.build(signatures, labels, backend=self.backend)
-        return sharded
-
-    def index_from_band_keys(
-        self, model, band_keys: np.ndarray, assignments: np.ndarray
-    ) -> AnyIndex:
-        """Rebuild the fitted index from persisted band keys."""
-        shards = self.resolved_shards()
-        if shards == 1 and not self.is_parallel:
-            return ClusteredLSHIndex.from_band_keys(
-                model.bands,
-                model.rows,
-                band_keys,
-                assignments,
-                precompute_neighbours=model.precompute_neighbours,
-            )
-        return ShardedClusteredLSHIndex.from_band_keys(
-            model.bands,
-            model.rows,
-            band_keys,
-            assignments,
-            n_shards=shards,
-            precompute_neighbours=model.precompute_neighbours,
-            backend=self.backend,
-        )
+            return _SerialFitSession(model, X)
+        return _ParallelFitSession(self.backend, model, X)
 
 
 def backend_from_spec(spec) -> ExecutionBackend:
@@ -558,27 +493,21 @@ def backend_from_spec(spec) -> ExecutionBackend:
     return resolve_backend(spec.backend, spec.n_jobs)
 
 
-def resolve_engine(
-    backend,
-    n_jobs: int | None = None,
-    n_shards: int | None = None,
-) -> ClusteringEngine:
+def resolve_engine(backend, n_jobs: int | None = None) -> ClusteringEngine:
     """Build a :class:`ClusteringEngine` from estimator parameters.
 
     ``backend`` may be an :class:`~repro.api.EngineSpec` (the spec
-    fully describes the engine; ``n_jobs``/``n_shards`` must then stay
-    unset), a backend name, or a pre-built
+    fully describes the engine; ``n_jobs`` must then stay unset), a
+    backend name, or a pre-built
     :class:`~repro.engine.backends.ExecutionBackend`.
     """
     from repro.api.specs import EngineSpec
 
     if isinstance(backend, EngineSpec):
-        if n_jobs is not None or n_shards is not None:
+        if n_jobs is not None:
             raise ConfigurationError(
-                "when resolving an EngineSpec, n_jobs/n_shards come from "
-                "the spec; do not pass them separately"
+                "when resolving an EngineSpec, n_jobs comes from the "
+                "spec; do not pass it separately"
             )
-        return ClusteringEngine(
-            backend_from_spec(backend), n_shards=backend.n_shards
-        )
-    return ClusteringEngine(resolve_backend(backend, n_jobs), n_shards=n_shards)
+        return ClusteringEngine(backend_from_spec(backend))
+    return ClusteringEngine(resolve_backend(backend, n_jobs))

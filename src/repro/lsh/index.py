@@ -32,11 +32,10 @@ Update phase (after each reassignment):
   the paper highlights.
 
 :class:`BaseClusteredIndex` owns every piece of this surface that does
-not depend on how bucket tables are laid out; the unsharded
-:class:`ClusteredLSHIndex` here and the engine's
-:class:`~repro.engine.sharded_index.ShardedClusteredLSHIndex` differ
-only in their table layout hooks, so the assignment/insert/query
-semantics cannot drift between them.
+not depend on how bucket tables are laid out — queries, assignment
+updates, amortised insertion, statistics; :class:`ClusteredLSHIndex`
+supplies the one bucket-table layout (a dict per band) through its
+layout hooks.  Every fit, restore, stream and server builds it.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ __all__ = [
     "group_csr_from_runs",
 ]
 
-#: One span's per-band bucket runs: ``(bucket_keys, starts, order)``.
+#: Per-band bucket runs: ``(bucket_keys, starts, order)``.
 BandRuns = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -92,26 +91,23 @@ class IndexStats:
 
 
 # ----------------------------------------------------------------------
-# shared build machinery (also used by the sharded index and the engine)
+# build machinery
 # ----------------------------------------------------------------------
 
 
-def band_runs(band_keys: np.ndarray, bands: int, start: int, stop: int) -> BandRuns:
-    """Sort one item span of the band-key matrix into bucket runs.
+def band_runs(band_keys: np.ndarray) -> BandRuns:
+    """Sort the ``(n_items, bands)`` band-key matrix into bucket runs.
 
     Returns one compact ``(bucket_keys, starts, order)`` triple per
-    band — three arrays instead of one tiny array per bucket, so a
-    process backend ships O(bands) buffers back, not O(buckets).
-    ``order`` holds *global* item ids (local argsort order plus the
-    span offset); :func:`tables_from_runs` slices it into the per-key
-    dict without copying.
+    band: ``order`` holds the item ids sorted by key, and bucket ``i``
+    is ``order[starts[i]:starts[i + 1]]``.  :func:`tables_from_runs`
+    slices it into the per-key dict without copying.
     """
-    local = band_keys[start:stop]
     out: BandRuns = []
-    for j in range(bands):
-        order = np.argsort(local[:, j], kind="stable").astype(np.int64)
-        order += start
-        sorted_keys = band_keys[order, j]
+    for j in range(band_keys.shape[1]):
+        column = band_keys[:, j]
+        order = np.argsort(column, kind="stable").astype(np.int64)
+        sorted_keys = column[order]
         boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
         starts = np.concatenate([[0], boundaries])
         out.append((sorted_keys[starts], starts, order))
@@ -134,18 +130,17 @@ def tables_from_runs(runs: BandRuns) -> list[dict[int, np.ndarray]]:
 
 def group_csr_from_runs(
     unique_rows: np.ndarray,
-    span_runs: list[BandRuns],
+    runs: BandRuns,
     n_items: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialise every group's neighbour list as one flat CSR pair.
 
-    Per span and band, each group's bucket is located with one
-    ``searchsorted`` against the sorted bucket keys and gathered as a
-    run of the band's order array; the runs of all bands and spans are
-    deduplicated per group with a single segmented ``np.unique`` over
+    Per band, each group's bucket is located with one ``searchsorted``
+    against the sorted bucket keys and gathered as a run of the band's
+    order array; the runs of all bands are deduplicated per group with
+    a single segmented ``np.unique`` over
     ``group * n_items + member`` keys.  No per-group Python work — this
-    is what makes index construction fast at scale regardless of the
-    backend.
+    is what makes index construction fast at scale.
 
     Returns ``(indptr, indices)`` where group ``g``'s sorted distinct
     neighbours are ``indices[indptr[g]:indptr[g + 1]]``.
@@ -154,28 +149,27 @@ def group_csr_from_runs(
     member_parts: list[np.ndarray] = []
     group_parts: list[np.ndarray] = []
     group_ids = np.arange(n_groups, dtype=np.int64)
-    for runs in span_runs:
-        for j, (bucket_keys, starts, order) in enumerate(runs):
-            ends = np.concatenate([starts[1:], [len(order)]])
-            pos = np.searchsorted(bucket_keys, unique_rows[:, j])
-            found = np.flatnonzero(
-                (pos < len(bucket_keys))
-                & (bucket_keys[np.minimum(pos, len(bucket_keys) - 1)]
-                   == unique_rows[:, j])
-            )
-            if not len(found):
-                continue
-            run_starts = starts[pos[found]]
-            run_lengths = ends[pos[found]] - run_starts
-            total = int(run_lengths.sum())
-            # gather all runs at once: order[start_g + offset] for every
-            # offset in [0, length_g)
-            bases = np.repeat(run_starts, run_lengths)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(run_lengths) - run_lengths, run_lengths
-            )
-            member_parts.append(order[bases + offsets])
-            group_parts.append(np.repeat(group_ids[found], run_lengths))
+    for j, (bucket_keys, starts, order) in enumerate(runs):
+        ends = np.concatenate([starts[1:], [len(order)]])
+        pos = np.searchsorted(bucket_keys, unique_rows[:, j])
+        found = np.flatnonzero(
+            (pos < len(bucket_keys))
+            & (bucket_keys[np.minimum(pos, len(bucket_keys) - 1)]
+               == unique_rows[:, j])
+        )
+        if not len(found):
+            continue
+        run_starts = starts[pos[found]]
+        run_lengths = ends[pos[found]] - run_starts
+        total = int(run_lengths.sum())
+        # gather all runs at once: order[start_g + offset] for every
+        # offset in [0, length_g)
+        bases = np.repeat(run_starts, run_lengths)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(run_lengths) - run_lengths, run_lengths
+        )
+        member_parts.append(order[bases + offsets])
+        group_parts.append(np.repeat(group_ids[found], run_lengths))
     if not member_parts:
         return np.zeros(n_groups + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
     members = np.concatenate(member_parts)
@@ -195,14 +189,14 @@ def group_csr_from_runs(
 
 
 class BaseClusteredIndex:
-    """Everything two clustered-index layouts must agree on.
+    """The clustered-index surface above the bucket-table layout.
 
-    Subclasses supply the bucket-table layout through three hooks —
-    :meth:`_is_built`, :meth:`_bucket_hits` and
-    :meth:`_insert_into_buckets` (plus :meth:`_bucket_sizes` for
-    diagnostics) — and inherit identical build validation, item
-    storage, queries, assignment updates, amortised insertion and
-    statistics, so the unsharded and sharded indexes cannot drift.
+    A subclass supplies the bucket tables through the layout hooks —
+    :meth:`_is_built`, :meth:`_bucket_hits`,
+    :meth:`_insert_into_buckets` and :meth:`_insert_many_into_buckets`
+    (plus :meth:`_bucket_sizes` for diagnostics) — and inherits build
+    validation, item storage, queries, assignment updates, amortised
+    insertion and statistics.
 
     Item storage uses amortised doubling buffers: band keys and
     assignments live in capacity arrays trimmed to the logical item
@@ -241,14 +235,8 @@ class BaseClusteredIndex:
     def _insert_many_into_buckets(
         self, keys: np.ndarray, items: np.ndarray
     ) -> None:
-        """Hash a batch of new items into the layout's bucket tables.
-
-        The generic fallback loops :meth:`_insert_into_buckets`; both
-        concrete layouts override with the vectorised per-band run
-        appends of :meth:`_append_key_runs`.
-        """
-        for key_row, item in zip(keys, items):
-            self._insert_into_buckets(key_row, int(item))
+        """Hash a batch of new items into the layout's bucket tables."""
+        raise NotImplementedError
 
     def _bucket_sizes(self) -> np.ndarray:
         """Logical member count of every non-empty bucket."""
@@ -279,14 +267,12 @@ class BaseClusteredIndex:
         self._assign_buf = assignments.astype(np.int64).copy()
         self._n = len(band_keys)
 
-    def _store_neighbours(
-        self, band_keys: np.ndarray, span_runs: list[BandRuns]
-    ) -> None:
+    def _store_neighbours(self, band_keys: np.ndarray, runs: BandRuns) -> None:
         """Group identical band-key rows and build the neighbour CSR."""
         unique_rows, group_of = np.unique(band_keys, axis=0, return_inverse=True)
         self._group_of = group_of.astype(np.int64).ravel()
         self._nbr_indptr, self._nbr_indices = group_csr_from_runs(
-            unique_rows, span_runs, len(band_keys)
+            unique_rows, runs, len(band_keys)
         )
 
     # -- queries ---------------------------------------------------------
@@ -773,7 +759,7 @@ class BaseClusteredIndex:
 
 
 # ----------------------------------------------------------------------
-# the unsharded index
+# the index
 # ----------------------------------------------------------------------
 
 
@@ -866,11 +852,11 @@ class ClusteredLSHIndex(BaseClusteredIndex):
     def _finalise(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
         """Common tail of :meth:`build` and :meth:`from_band_keys`."""
         self._store_items(band_keys, assignments)
-        runs = band_runs(band_keys, self.bands, 0, len(band_keys))
+        runs = band_runs(band_keys)
         self._tables = tables_from_runs(runs)
         self._fill = [{} for _ in range(self.bands)]
         if self.precompute_neighbours:
-            self._store_neighbours(band_keys, [runs])
+            self._store_neighbours(band_keys, runs)
 
     # ------------------------------------------------------------------
     # layout hooks

@@ -35,7 +35,6 @@ class TestValidationAtConstruction:
         [
             {"backend": "gpu"},
             {"n_jobs": 0},
-            {"n_shards": -2},
             {"chunk_items": 0},
             {"start_method": "teleport"},
             # start_method is meaningless off the process backend
@@ -84,7 +83,7 @@ class TestValidationAtConstruction:
 
     def test_valid_specs_construct(self):
         LSHSpec(family="pstable", bands=50, rows=5, width=2.0, seed=1)
-        EngineSpec(backend="process", n_jobs=4, n_shards=8, start_method="spawn")
+        EngineSpec(backend="process", n_jobs=4, start_method="spawn")
         TrainSpec(init="huang", max_iter=5, update_refs="batch")
         ServeSpec(backend="process", n_jobs=4, chunk_items=256, max_batch=1024)
 
@@ -119,7 +118,7 @@ class TestDictRoundTrip:
         "spec",
         [
             LSHSpec(family="simhash", bands=32, rows=2, seed=11),
-            EngineSpec(backend="thread", n_jobs=3, n_shards=2, chunk_items=64),
+            EngineSpec(backend="thread", n_jobs=3, chunk_items=64),
             TrainSpec(init="cao", max_iter=7, update_refs="batch"),
             ServeSpec(backend="process", n_jobs=2, chunk_items=128, max_batch=256),
         ],
@@ -132,9 +131,19 @@ class TestDictRoundTrip:
         spec = EngineSpec(backend="process", n_jobs=2, start_method="spawn")
         assert EngineSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
-    def test_from_dict_rejects_unknown_keys(self):
+    @pytest.mark.parametrize(
+        "spec_cls,data",
+        [
+            (LSHSpec, {"bandz": 8}),
+            # the retired index shard count: spec files and engine dicts
+            # must not silently drop it (only old model sidecars do)
+            (EngineSpec, {"n_shards": 2}),
+        ],
+        ids=["LSHSpec-bandz", "EngineSpec-n_shards"],
+    )
+    def test_from_dict_rejects_unknown_keys(self, spec_cls, data):
         with pytest.raises(ConfigurationError):
-            LSHSpec.from_dict({"bandz": 8})
+            spec_cls.from_dict(data)
 
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(ConfigurationError):

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
-from repro.data.io import load_model, save_model
-from repro.engine import ShardedClusteredLSHIndex
+from repro.data.io import load_cluster_model, load_model, save_model
 from repro.exceptions import DataValidationError, NotFittedError
 from repro.kmeans.mh_kmeans import LSHKMeans
 from repro.kmodes.kmodes import KModes
@@ -65,15 +64,25 @@ class TestMHKModesRoundTrip:
         for left, right in zip(original, rebuilt):
             assert np.array_equal(left, right)
 
-    def test_sharded_parallel_fit_reloads_and_predicts(
+    def test_sidecar_with_retired_shard_count_loads(
         self, categorical, novel, tmp_path
     ):
+        # Sidecars saved while EngineSpec had an index shard count carry
+        # an "n_shards" entry; it never changed a label, so loading
+        # drops it and predicts bit-identically.
         model = MHKModes(
             n_clusters=8, bands=8, rows=2, seed=7,
-            backend="thread", n_jobs=2, n_shards=3,
+            backend="thread", n_jobs=2,
         ).fit(categorical.X)
-        loaded = load_model(save_model(model, tmp_path / "sharded"))
-        assert isinstance(loaded.index_, ShardedClusteredLSHIndex)
+        path = save_model(model, tmp_path / "old")
+        sidecar_path = path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["specs"]["engine"]["n_shards"] = 3
+        sidecar_path.write_text(json.dumps(sidecar))
+        artifact = load_cluster_model(path)
+        assert artifact.engine == model.engine
+        assert np.array_equal(artifact.predict(novel.X), model.predict(novel.X))
+        loaded = load_model(path)
         assert np.array_equal(loaded.predict(novel.X), model.predict(novel.X))
 
     def test_sidecar_is_human_readable(self, categorical, tmp_path):

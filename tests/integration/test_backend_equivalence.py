@@ -1,19 +1,21 @@
 """Backend-equivalence suite.
 
 The engine's core contract: with a fixed seed and batch updates, the
-``serial``, ``thread`` and ``process`` backends — and any shard count —
-produce *identical* labels and centroids, because a batch pass scores
-every item against the labels frozen at the start of the pass and the
-chunked kernels replicate the serial tie-breaking exactly.
+``serial``, ``thread`` and ``process`` backends build the same index
+and produce *identical* labels and centroids, because a batch pass
+scores every item against the labels frozen at the start of the pass
+and the chunked kernels replicate the serial tie-breaking exactly.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.core.streaming import StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
-from repro.engine import ShardedClusteredLSHIndex
 from repro.exceptions import ConfigurationError
 from repro.kmeans.mh_kmeans import LSHKMeans
 
@@ -89,21 +91,31 @@ class TestKModesBackendEquivalence:
         assert np.array_equal(serial.predict(novel.X), threaded.predict(novel.X))
 
 
-class TestShardCountInvariance:
-    @pytest.mark.parametrize("n_shards", [1, 2, 5])
-    def test_fit_invariant_to_shards(self, categorical, n_shards):
+class TestOneIndexLayout:
+    def test_parallel_fit_matches_serial(self, categorical):
         X, initial = categorical
         reference = _fit_kmodes(X, initial, "serial", None)
-        sharded = _fit_kmodes(X, initial, "serial", None, n_shards=n_shards)
-        assert np.array_equal(sharded.labels_, reference.labels_)
-        assert np.array_equal(sharded.centroids_, reference.centroids_)
+        parallel = _fit_kmodes(X, initial, "thread", 2)
+        assert np.array_equal(parallel.labels_, reference.labels_)
 
-    def test_parallel_sharded_fit_matches_serial(self, categorical):
-        X, initial = categorical
-        reference = _fit_kmodes(X, initial, "serial", None)
-        sharded = _fit_kmodes(X, initial, "thread", 2, n_shards=4)
-        assert isinstance(sharded.index_, ShardedClusteredLSHIndex)
-        assert np.array_equal(sharded.labels_, reference.labels_)
+    def test_parallel_index_stats_match_serial(self):
+        """A parallel fit builds the serial fit's index, bucket for bucket."""
+        X = RuleBasedGenerator(n_clusters=12, n_attributes=20, seed=5).generate(600).X
+
+        def fit(engine):
+            return MHKModes(
+                n_clusters=12,
+                lsh=LSHSpec(bands=8, rows=2, seed=0),
+                engine=engine,
+                train=TrainSpec(update_refs="batch"),
+            ).fit(X)
+
+        serial = fit(EngineSpec())
+        parallel = fit(EngineSpec(backend="thread", n_jobs=2))
+        assert np.array_equal(parallel.labels_, serial.labels_)
+        assert dataclasses.asdict(parallel.index_.stats()) == dataclasses.asdict(
+            serial.index_.stats()
+        )
 
 
 class TestKMeansBackendEquivalence:
@@ -154,20 +166,17 @@ class TestSemanticsGuards:
 
 
 class TestStreamingWithEngine:
-    def test_parallel_sharded_bootstrap_matches_serial_stream(self):
+    def test_parallel_bootstrap_matches_serial_stream(self):
         data = RuleBasedGenerator(
             n_clusters=6, n_attributes=12, domain_size=300, seed=13
         ).generate(240)
         serial = StreamingMHKModes(n_clusters=6, bands=8, rows=1, seed=0)
         parallel = StreamingMHKModes(
             n_clusters=6, bands=8, rows=1, seed=0,
-            backend="thread", n_jobs=2, n_shards=3,
+            backend="thread", n_jobs=2,
         )
         serial.bootstrap(data.X[:180])
         parallel.bootstrap(data.X[:180])
-        assert isinstance(
-            parallel._bootstrap_model.index_, ShardedClusteredLSHIndex
-        )
         serial_labels = serial.extend(data.X[180:])
         parallel_labels = parallel.extend(data.X[180:])
         # bootstrap semantics differ (online vs batch), so streamed labels

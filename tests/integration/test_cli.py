@@ -95,7 +95,7 @@ class TestClusterCommand:
             [
                 "cluster", str(dataset_path),
                 "--clusters", "8", "--bands", "8", "--rows", "2", "--seed", "0",
-                "--backend", "thread", "--jobs", "2", "--shards", "2",
+                "--backend", "thread", "--jobs", "2",
             ]
         )
         assert code == 0

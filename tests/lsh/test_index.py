@@ -189,7 +189,7 @@ class TestStats:
 
 
 class TestInsertBatch:
-    """insert_batch == insert row by row, on both table layouts."""
+    """insert_batch == insert row by row."""
 
     @staticmethod
     def _signatures(n, width, seed=11):
@@ -199,24 +199,16 @@ class TestInsertBatch:
         )
         return MinHasher(width, seed=5).signatures(ts)
 
-    def _fresh_pair(self, sharded):
-        from repro.engine.sharded_index import ShardedClusteredLSHIndex
-
+    def _fresh_pair(self):
         sigs = self._signatures(12, 16)
         assignments = np.arange(12) % 4
-        if sharded:
-            make = lambda: ShardedClusteredLSHIndex(
-                8, 2, n_shards=3, precompute_neighbours=False
-            ).build(sigs, assignments)
-        else:
-            make = lambda: ClusteredLSHIndex(
-                8, 2, precompute_neighbours=False
-            ).build(sigs, assignments)
+        make = lambda: ClusteredLSHIndex(
+            8, 2, precompute_neighbours=False
+        ).build(sigs, assignments)
         return make(), make()
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_matches_sequential_insert(self, sharded):
-        batched, sequential = self._fresh_pair(sharded)
+    def test_matches_sequential_insert(self):
+        batched, sequential = self._fresh_pair()
         new_sigs = self._signatures(9, 16, seed=77)
         clusters = np.array([3, 1, 0, 2, 2, 1, 0, 3, 1])
         ids = batched.insert_batch(new_sigs, clusters)
@@ -236,11 +228,10 @@ class TestInsertBatch:
                 sequential.candidate_clusters_for_signature(sig),
             )
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_precomputed_band_keys_are_equivalent(self, sharded):
+    def test_precomputed_band_keys_are_equivalent(self):
         from repro.lsh.bands import compute_band_keys
 
-        with_keys, without = self._fresh_pair(sharded)
+        with_keys, without = self._fresh_pair()
         new_sigs = self._signatures(6, 16, seed=42)
         clusters = np.array([0, 1, 2, 3, 0, 1])
         keys = compute_band_keys(new_sigs, 8, 2)
@@ -250,7 +241,7 @@ class TestInsertBatch:
         assert np.array_equal(with_keys.assignments, without.assignments)
 
     def test_empty_batch_is_a_noop(self):
-        index, _ = self._fresh_pair(False)
+        index, _ = self._fresh_pair()
         ids = index.insert_batch(
             np.empty((0, 16), dtype=np.int64), np.empty(0, dtype=np.int64)
         )

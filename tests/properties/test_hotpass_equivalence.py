@@ -2,8 +2,8 @@
 
 The engine's vectorised batch pass must be a pure performance
 transformation: at a fixed seed it produces labels bit-identical to
-the per-item batch pass for every estimator, backend, chunk size and
-shard count — and the batched predict path must match the per-item
+the per-item batch pass for every estimator, backend and chunk size
+— and the batched predict path must match the per-item
 prediction loop row for row, including rows whose shortlist is empty.
 """
 
@@ -79,9 +79,8 @@ def _assert_same_fit(candidate, reference):
 
 ENGINE_CONFIGS = [
     {},
-    {"n_shards": 3},
     {"backend": "thread", "n_jobs": 2},
-    {"backend": "thread", "n_jobs": 3, "n_shards": 5},
+    {"backend": "thread", "n_jobs": 3},
     {"backend": "process", "n_jobs": 2},
 ]
 
@@ -161,9 +160,9 @@ class TestVectorisedPassIdentity:
         vectorised = StreamingMHKModes(
             n_clusters=6, bands=8, rows=1, seed=0, update_refs="batch"
         )
-        sharded = StreamingMHKModes(
+        threaded = StreamingMHKModes(
             n_clusters=6, bands=8, rows=1, seed=0, update_refs="batch",
-            backend="thread", n_jobs=2, n_shards=3,
+            backend="thread", n_jobs=2,
         )
         # per-item reference needs the hook on the inner bootstrap model,
         # so bootstrap manually through MHKModes
@@ -174,13 +173,13 @@ class TestVectorisedPassIdentity:
         inner._force_per_item_pass = True
         inner.fit(data.X[:200])
         vectorised.bootstrap(data.X[:200])
-        sharded.bootstrap(data.X[:200])
+        threaded.bootstrap(data.X[:200])
         assert np.array_equal(vectorised._bootstrap_model.labels_, inner.labels_)
-        assert np.array_equal(sharded._bootstrap_model.labels_, inner.labels_)
+        assert np.array_equal(threaded._bootstrap_model.labels_, inner.labels_)
         # the streamed tail (insert + shortlist queries over the CSR-free
-        # insertable index) agrees between layouts too
+        # insertable index) agrees between backends too
         assert np.array_equal(
-            vectorised.extend(data.X[200:]), sharded.extend(data.X[200:])
+            vectorised.extend(data.X[200:]), threaded.extend(data.X[200:])
         )
 
 
