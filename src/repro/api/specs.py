@@ -251,7 +251,9 @@ class EngineSpec(Spec):
     n_jobs:
         Worker count for parallel backends (``None``: one per CPU).
     chunk_items:
-        Row-chunk size of the exhaustive setup pass.
+        Row block of the exhaustive setup pass and of the categorical
+        empty-shortlist full scan (capped for large k so one block's
+        temporaries stay under a fixed memory budget).
     start_method:
         Multiprocessing start method for the process backend
         (``None``: ``'fork'`` where available, platform default

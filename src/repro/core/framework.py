@@ -363,6 +363,17 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         state from its input.
         """
 
+    def _mode_postings(self, centroids: np.ndarray):
+        """Exact nearest-centroid postings over ``centroids``, or ``None``.
+
+        :func:`~repro.core.shortlist.best_centroids_full_scan` resolves
+        empty shortlists through the returned
+        :class:`~repro.kmodes.postings.ModePostings`.  The default
+        ``None`` makes it broadcast ``_block_distances`` over every
+        centroid instead, which is what numeric families need.
+        """
+        return None
+
     def _block_distances(
         self, block: np.ndarray, centroid_blocks: np.ndarray
     ) -> np.ndarray:
@@ -596,10 +607,8 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         if empty.size:
             # Resolve the policy once ('error' raises here); the 'full'
             # fallback then scores the empty rows against every centroid
-            # with the broadcast full-scan kernel — an all-clusters
-            # shortlist would gather a (rows, k, m) centroid copy per
-            # block, which is exactly what made batched predict slower
-            # than the per-item loop on all-novel batches.
+            # with the full-scan kernel, not as an all-clusters shortlist
+            # (which would gather a (rows, k, m) centroid copy per block).
             apply_fallback(
                 np.empty(0, dtype=np.int64), self.n_clusters, self.predict_fallback
             )

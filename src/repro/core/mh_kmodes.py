@@ -29,9 +29,9 @@ from repro.api.specs import EngineSpec, LSHSpec, TrainSpec
 from repro.core.framework import BaseLSHAcceleratedClustering
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.kmodes.cost import clustering_cost
-from repro.kmodes.dissimilarity import distances_to_modes
 from repro.kmodes.initialization import resolve_init
 from repro.kmodes.modes import compute_modes
+from repro.kmodes.postings import ModePostings
 from repro.lsh.minhash import MinHasher
 
 __all__ = ["MHKModes"]
@@ -116,6 +116,7 @@ class MHKModes(BaseLSHAcceleratedClustering):
         self.domain_size = domain_size
         self._hasher = MinHasher(self.bands * self.rows, seed=self._hash_seed())
         self._fitted_domain_size: int | None = None
+        self._postings: ModePostings | None = None
 
     def _hash_seed(self) -> int:
         # Decouple the hashing stream from the initialisation stream so
@@ -188,24 +189,24 @@ class MHKModes(BaseLSHAcceleratedClustering):
     def _exhaustive_assign(
         self, X: np.ndarray, centroids: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        n = X.shape[0]
-        new_labels = np.empty(n, dtype=np.int64)
-        for start in range(0, n, self.chunk_items):
-            stop = min(start + self.chunk_items, n)
-            dists = np.count_nonzero(
-                X[start:stop, None, :] != centroids[None, :, :], axis=2
-            )
-            best = np.argmin(dists, axis=1)
-            chunk_labels = labels[start:stop]
-            assigned = chunk_labels >= 0
-            if np.any(assigned):
-                rows_idx = np.flatnonzero(assigned)
-                current = chunk_labels[rows_idx]
-                keep = dists[rows_idx, current] <= dists[rows_idx, best[rows_idx]]
-                best[rows_idx[keep]] = current[keep]
-            new_labels[start:stop] = best
+        new_labels, _ = ModePostings(centroids).nearest(
+            X, current=labels, block_rows=self.chunk_items
+        )
         moves = int(np.count_nonzero(new_labels != labels))
         return new_labels, moves
+
+    def _mode_postings(self, centroids: np.ndarray) -> ModePostings:
+        # The empty-shortlist full scan runs against the model's modes
+        # or, in a stream, against modes refreshed every few hundred
+        # rows.  A rebuild costs one to two milliseconds at k = 800;
+        # comparing by content means a stale set is never used, whoever
+        # changed the modes.  Threads racing here at worst build twice:
+        # the attribute is replaced whole.
+        postings = self._postings
+        if postings is None or not np.array_equal(postings.modes, centroids):
+            postings = ModePostings(centroids)
+            self._postings = postings
+        return postings
 
     def _point_distances(
         self, X: np.ndarray, item: int, centroids: np.ndarray

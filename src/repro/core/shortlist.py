@@ -12,12 +12,14 @@ module adds the plumbing around it:
   collides with itself, so its current cluster is always present); it
   matters when predicting for novel items and when streaming them in;
 * :func:`best_centroids_full_scan` — the vectorised resolution of the
-  ``'full'`` fallback: every row against every centroid through the
-  model's ``_block_distances`` kernel, with the centroid matrix
-  *broadcast* (never gathered per row).  Gathering ``centroids[...]``
-  blocks for an all-clusters shortlist is what made batched predict
-  slower than the per-item loop on all-novel batches; broadcasting
-  removes that copy entirely.
+  ``'full'`` fallback: every row against every centroid, exactly.
+  Categorical models score through their mode postings
+  (:class:`~repro.kmodes.postings.ModePostings`), which touch the few
+  modes sharing a row's values instead of all k·m attributes.  Numeric
+  models broadcast the centroid matrix through their
+  ``_block_distances`` kernel (never gathering it per row: a gathered
+  ``(rows, k, m)`` copy for an all-clusters shortlist is what once made
+  batched predict slower than the per-item loop on all-novel batches).
 """
 
 from __future__ import annotations
@@ -129,16 +131,23 @@ def best_centroids_full_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-minimum centroid per row against the *full* centroid matrix.
 
-    Scores ``X`` against every centroid with the model's vectorised
+    Ties resolve to the smallest centroid id, exactly like an
+    all-clusters shortlist would.  When the model supplies mode
+    postings (``model._mode_postings``, the categorical family), rows
+    are scored through them in blocks of ``model.chunk_items``.
+    Otherwise rows are scored with the model's vectorised
     ``_block_distances`` kernel, broadcasting the centroid matrix
     across the row block instead of gathering an explicit
-    ``(rows, k, m)`` copy, and reduces with a row-wise ``argmin`` —
-    ties resolve to the smallest centroid id, exactly like an
-    all-clusters shortlist would.  Row blocks are sized to keep the
-    broadcast distance tensor under a fixed element budget.
+    ``(rows, k, m)`` copy, and reduced with a row-wise ``argmin``; row
+    blocks are sized to keep that broadcast distance tensor under a
+    fixed element budget.
 
     Returns ``(best_label, best_distance)`` per row.
     """
+    postings = model._mode_postings(centroids)
+    if postings is not None:
+        labels, distances = postings.nearest(X, block_rows=model.chunk_items)
+        return labels, distances.astype(np.float64)
     n, m = X.shape
     k = centroids.shape[0]
     best_label = np.empty(n, dtype=np.int64)

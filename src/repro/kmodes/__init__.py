@@ -4,6 +4,8 @@ Implemented from scratch per Section III-A1 of the paper:
 
 * :mod:`repro.kmodes.dissimilarity` — the matching dissimilarity
   d(X, Y) = number of mismatching attributes (Equations 1-2);
+* :mod:`repro.kmodes.postings` — the exact nearest-mode search from
+  *(attribute, value)* mode postings behind MH-K-Modes' full scans;
 * :mod:`repro.kmodes.modes` — column-wise most-frequent-value modes,
   the minimiser of D(X, Q) (Equation 3);
 * :mod:`repro.kmodes.cost` — the clustering cost P(W, Q) (Equation 4);

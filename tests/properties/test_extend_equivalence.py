@@ -140,6 +140,41 @@ def test_all_absent_rows_extend_bit_identical(case):
     assert live_pool_count() == 0
 
 
+def test_all_novel_rows_scan_the_refreshed_modes():
+    """Rows that miss the index take the full-scan fallback; after a
+    refresh moves a mode, the next one must score against the new mode.
+
+    One band of twelve MinHash rows keeps rows sharing half their
+    tokens from colliding.  The first extend scores a novel row against
+    the bootstrap modes; the second moves mode 1 to ``[2, 2, 2, 5, 5,
+    5]`` at its refresh; the probe is then 3 from mode 1 and 6 from
+    mode 0, where the bootstrap modes would tie it at 6 and give 0.
+    """
+    p0, p1 = [1] * 6, [2] * 6
+    bootstrap = np.array([p0, p0, p1, p1])
+    calls = [
+        np.array([[1, 1, 1, 7, 7, 7]]),
+        np.array([[2, 2, 2, 5, 5, 5]] * 3),
+        np.array([[9, 9, 9, 5, 5, 5]]),
+    ]
+    kwargs = dict(
+        n_clusters=2,
+        lsh=LSHSpec(bands=1, rows=12, seed=0),
+        train=TrainSpec(max_iter=2),
+        domain_size=10,
+        refresh_interval=4,
+    )
+    initial = np.array([p0, p1])
+    reference = StreamingMHKModes(**kwargs).bootstrap(bootstrap, initial)
+    candidate = StreamingMHKModes(**kwargs).bootstrap(bootstrap, initial)
+    pushed = [reference.push(row) for row in np.vstack(calls)]
+    extended = np.concatenate([candidate.extend(rows) for rows in calls])
+    assert pushed == extended.tolist() == [0, 1, 1, 1, 1]
+    assert candidate.modes_[1].tolist() == [2, 2, 2, 5, 5, 5]
+    assert candidate.n_fallbacks_ == 3  # the first row of each call
+    _assert_streams_equal(reference, candidate)
+
+
 @settings(
     max_examples=15,
     deadline=None,
