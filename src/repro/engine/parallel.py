@@ -49,7 +49,7 @@ from repro.engine.shared import SharedArray, resolve_array
 from repro.exceptions import ConfigurationError
 from repro.obs import span as trace_span
 from repro.obs import traced
-from repro.lsh.index import ClusteredLSHIndex
+from repro.lsh.index import ClusteredLSHIndex, grouped_neighbour_csr
 
 __all__ = ["ClusteringEngine", "backend_from_spec", "resolve_engine"]
 
@@ -247,25 +247,20 @@ def _assignment_chunk(
 
 
 def _pass_neighbour_csr(
-    index: ClusteredLSHIndex, n: int
+    index: ClusteredLSHIndex,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(group_of, indptr, indices)`` CSR the batch kernels walk.
 
     Precomputed neighbours come straight from the index's group-level
     storage (:meth:`~repro.lsh.index.BaseClusteredIndex.neighbour_csr`)
-    — zero copies, and the grouping's O(n) guarantee on
-    duplicate-heavy data carries into the batch pass.  Without
-    precomputation the lists are materialised once per fit with
-    identity groups.
+    — zero copies.  Without precomputation the same grouped lists are
+    built once per fit from the index's band keys, so the grouping's
+    O(n) guarantee on duplicate-heavy data holds either way.
     """
-    csr = index.neighbour_csr() if index.precompute_neighbours else None
+    csr = index.neighbour_csr()
     if csr is not None:
         return csr
-    per_item = [index.candidate_items(i) for i in range(n)]
-    lengths = np.fromiter((len(nb) for nb in per_item), dtype=np.int64, count=n)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    indices = np.concatenate(per_item) if n else np.empty(0, dtype=np.int64)
-    return np.arange(n, dtype=np.int64), indptr, indices
+    return grouped_neighbour_csr(index.band_keys)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +328,7 @@ class _SerialFitSession:
                 self._X, centroids, labels, self._index, accumulator
             )
         if self._csr is None:
-            self._csr = _pass_neighbour_csr(self._index, self._X.shape[0])
+            self._csr = _pass_neighbour_csr(self._index)
         n = self._X.shape[0]
         out, moves, total, smax = _assignment_chunk(
             (model, self._X), (centroids, labels, self._csr), (0, n)
@@ -424,7 +419,7 @@ class _ParallelFitSession:
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
         assert self._index is not None, "build_index must run before passes"
         if self._csr_refs is None:
-            group_of, indptr, indices = _pass_neighbour_csr(self._index, self._n)
+            group_of, indptr, indices = _pass_neighbour_csr(self._index)
             self._csr_refs = (
                 self._share(group_of),
                 self._share(indptr),

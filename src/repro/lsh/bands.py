@@ -10,17 +10,21 @@ gives the scheme its selectivity.
 This module turns ``(n, b*r)`` signature matrices into ``(n, b)``
 integer bucket keys.  Keys are built with a splitmix64 chain over the
 band's rows, which gives avalanche mixing at a fixed, small memory
-cost.  Keys from different bands are stored in structurally separate
-dictionaries by the index, honouring the paper's "no overlapping
-between bands" requirement.
+cost.  The chain is seeded per band, so equal keys in two bands are
+astronomically rare, but they can occur.  The index sorts the keys of
+all bands into one array and counts a hit only where an item's key in
+the queried band equals the query key, honouring the paper's "no
+overlapping between bands" requirement exactly.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataValidationError
-from repro.lsh.hashing import splitmix64
+from repro.lsh.hashing import splitmix64, splitmix64_inplace
 
 __all__ = [
     "compute_band_keys",
@@ -36,6 +40,14 @@ def validate_bands_rows(bands: int, rows: int) -> None:
         raise ConfigurationError(f"bands must be positive, got {bands}")
     if rows <= 0:
         raise ConfigurationError(f"rows must be positive, got {rows}")
+
+
+@functools.lru_cache(maxsize=None)
+def _band_seeds(bands: int) -> np.ndarray:
+    """The per-band chain seeds (read-only, shared between calls)."""
+    seeds = splitmix64(np.arange(bands, dtype=np.uint64))
+    seeds.setflags(write=False)
+    return seeds
 
 
 def compute_band_keys(signatures: np.ndarray, bands: int, rows: int) -> np.ndarray:
@@ -77,11 +89,12 @@ def compute_band_keys(signatures: np.ndarray, bands: int, rows: int) -> np.ndarr
     # Chain the rows of each band through the mixer.  Seeding the chain
     # with the band index keeps identical row values in different bands
     # from producing identical keys.
-    keys = splitmix64(np.arange(bands, dtype=np.uint64))[None, :]
-    keys = np.broadcast_to(keys, (n, bands)).copy()
-    for j in range(rows):
-        with np.errstate(over="ignore"):
-            keys = splitmix64(keys ^ sig[:, :, j])
+    keys = np.empty((n, bands), dtype=np.uint64)
+    keys[:] = _band_seeds(bands)
+    with np.errstate(over="ignore"):
+        for j in range(rows):
+            keys ^= sig[:, :, j]
+            splitmix64_inplace(keys)
     return keys
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "UniversalHashFamily",
     "stable_string_hash",
     "splitmix64",
+    "splitmix64_inplace",
 ]
 
 #: Modulus shared by every universal hash function in the library.
@@ -158,11 +159,21 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     bucket key with avalanche behaviour: a change in any row changes
     every bit of the key with probability about one half.
     """
-    x = np.asarray(x, dtype=np.uint64).copy()
+    z = np.asarray(x, dtype=np.uint64).copy()
     with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        z = x
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+        splitmix64_inplace(z)
     return z
+
+
+def splitmix64_inplace(z: np.ndarray) -> None:
+    """:func:`splitmix64` on a ``uint64`` array, overwriting it.
+
+    Saves the temporaries of the copying form where a caller mixes
+    many small arrays in a loop (banding one signature at a time).
+    """
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)

@@ -7,16 +7,16 @@ reference to the cluster it is currently assigned to.
 Build phase (run once, after centroid initialisation):
 
 1. every item's signature is banded into ``b`` bucket keys;
-2. per band, a hash table maps bucket key → the array of member items;
-3. optionally, each item's static *neighbour list* — the union of its
+2. optionally, each item's static *neighbour list* — the union of its
    buckets' members — is precomputed, because buckets never change
-   after the build.  Neighbour lists are stored as one flat CSR pair
-   (``indptr``, ``indices``) per *group* of items with identical
-   band-key rows: such items occupy exactly the same buckets and share
-   one list, which collapses the pathological case of many identical
-   (or empty) token sets from O(n²) to O(n) work and memory, and the
-   flat layout keeps the per-iteration hot loop free of Python-object
-   traffic.
+   after the build.  Per band, the keys are sorted into bucket runs
+   (:func:`band_runs`), and the lists are gathered from those runs and
+   stored as one flat CSR pair (``indptr``, ``indices``) per *group*
+   of items with identical band-key rows: such items occupy exactly
+   the same buckets and share one list, which collapses the
+   pathological case of many identical (or empty) token sets from
+   O(n²) to O(n) work and memory, and the flat layout keeps the
+   per-iteration hot loop free of Python-object traffic.
 
 Query phase (run once per item per iteration):
 
@@ -31,16 +31,37 @@ Update phase (after each reassignment):
   the assignment array — the O(1) "update the cluster reference" step
   the paper highlights.
 
-:class:`BaseClusteredIndex` owns every piece of this surface that does
-not depend on how bucket tables are laid out — queries, assignment
-updates, amortised insertion, statistics; :class:`ClusteredLSHIndex`
-supplies the one bucket-table layout (a dict per band) through its
-layout hooks.  Every fit, restore, stream and server builds it.
+Bucket layout.  Buckets live in flat sorted arrays, not hash tables.
+Every ``(item, band)`` entry is sorted by its key value into *runs*,
+one per distinct value across all bands, so one ``searchsorted`` per
+segment over a batch's sorted keys (every row × every band) finds all
+its buckets.  Key values are band-seeded 64-bit hashes: the same value
+in two bands is astronomically rare but possible, so a run member
+counts as a hit only where its own key in the queried band is the
+query key.  That check keeps the bands exactly disjoint, as the paper
+requires.
+
+Growth is LSM-style.  Inserted items wait in a *tail* of fewer than
+:data:`TAIL_ITEMS` items, which queries scan directly; then they are
+sorted into a small *delta* segment, which is merged into the *main*
+segment once it holds more than ``max(4096, main entries / 8)``
+entries.  Main, delta and the tail's start are published as one
+immutable snapshot, so a reader sees all of an update or none of it.
+The snapshot is built on the first query that needs it (a novel
+signature, or an item without precomputed neighbours) or at
+:meth:`~BaseClusteredIndex.freeze`; a fit that reads only its
+precomputed neighbours never builds it.
+
+:class:`BaseClusteredIndex` owns this whole surface — item storage,
+queries, assignment updates, insertion and statistics;
+:class:`ClusteredLSHIndex` adds the two ways to build one.  Every fit,
+restore, stream and server builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +72,24 @@ __all__ = [
     "BaseClusteredIndex",
     "ClusteredLSHIndex",
     "IndexStats",
+    "TAIL_ITEMS",
     "band_runs",
-    "tables_from_runs",
     "group_csr_from_runs",
+    "grouped_neighbour_csr",
 ]
 
 #: Per-band bucket runs: ``(bucket_keys, starts, order)``.
 BandRuns = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+#: Inserted items a query scans directly before they are sorted into
+#: the delta segment.  Folding costs O(delta), so this amortises it
+#: over single-item inserts.
+TAIL_ITEMS = 64
+#: The delta is merged into the main segment once it holds more than
+#: ``max(_MIN_DELTA, main entries // _DELTA_RATIO)`` entries, so a
+#: merge (O(main)) is amortised over O(main) inserted entries.
+_MIN_DELTA = 4096
+_DELTA_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -95,13 +127,22 @@ class IndexStats:
 # ----------------------------------------------------------------------
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` over every ``(s, l)`` pair."""
+    total = int(lengths.sum())
+    if total == len(starts):  # every range holds one value
+        return starts
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(
+        total, dtype=np.int64
+    )
+
+
 def band_runs(band_keys: np.ndarray) -> BandRuns:
     """Sort the ``(n_items, bands)`` band-key matrix into bucket runs.
 
     Returns one compact ``(bucket_keys, starts, order)`` triple per
     band: ``order`` holds the item ids sorted by key, and bucket ``i``
-    is ``order[starts[i]:starts[i + 1]]``.  :func:`tables_from_runs`
-    slices it into the per-key dict without copying.
+    is ``order[starts[i]:starts[i + 1]]``.
     """
     out: BandRuns = []
     for j in range(band_keys.shape[1]):
@@ -112,20 +153,6 @@ def band_runs(band_keys: np.ndarray) -> BandRuns:
         starts = np.concatenate([[0], boundaries])
         out.append((sorted_keys[starts], starts, order))
     return out
-
-
-def tables_from_runs(runs: BandRuns) -> list[dict[int, np.ndarray]]:
-    """Slice per-band bucket runs into key → members dicts (views)."""
-    tables: list[dict[int, np.ndarray]] = []
-    for bucket_keys, starts, order in runs:
-        ends = np.concatenate([starts[1:], [len(order)]])
-        tables.append(
-            {
-                int(key): order[s:e]
-                for key, s, e in zip(bucket_keys, starts, ends)
-            }
-        )
-    return tables
 
 
 def group_csr_from_runs(
@@ -161,14 +188,7 @@ def group_csr_from_runs(
             continue
         run_starts = starts[pos[found]]
         run_lengths = ends[pos[found]] - run_starts
-        total = int(run_lengths.sum())
-        # gather all runs at once: order[start_g + offset] for every
-        # offset in [0, length_g)
-        bases = np.repeat(run_starts, run_lengths)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(run_lengths) - run_lengths, run_lengths
-        )
-        member_parts.append(order[bases + offsets])
+        member_parts.append(order[_ranges(run_starts, run_lengths)])
         group_parts.append(np.repeat(group_ids[found], run_lengths))
     if not member_parts:
         return np.zeros(n_groups + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -183,26 +203,109 @@ def group_csr_from_runs(
     return indptr, u_member
 
 
+def grouped_neighbour_csr(
+    band_keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every item's neighbour list as ``(group_of, indptr, indices)``.
+
+    Items with identical band-key rows form one group and share one
+    list; item ``i``'s sorted distinct neighbours (itself included)
+    are ``indices[indptr[group_of[i]]:indptr[group_of[i] + 1]]``.
+    """
+    unique_rows, group_of = np.unique(band_keys, axis=0, return_inverse=True)
+    indptr, indices = group_csr_from_runs(
+        unique_rows, band_runs(band_keys), len(band_keys)
+    )
+    return group_of.astype(np.int64).ravel(), indptr, indices
+
+
 # ----------------------------------------------------------------------
-# the shared index surface
+# sorted bucket segments
+# ----------------------------------------------------------------------
+
+
+class _Segment(NamedTuple):
+    """Bucket runs over all bands: one run per distinct key value.
+
+    ``members[starts[u]:starts[u + 1]]`` are the items holding key
+    ``keys[u]`` in some band; which band is checked at lookup.
+    """
+
+    keys: np.ndarray  # (runs,) uint64, ascending and distinct
+    starts: np.ndarray  # (runs + 1,) int64
+    members: np.ndarray  # (entries,) int64
+
+
+class _Buckets(NamedTuple):
+    """One published state: items ``[0, covered)`` are in a segment,
+    the rest (the tail) are scanned directly."""
+
+    main: _Segment
+    delta: _Segment
+    covered: int
+
+
+_NONE = np.empty(0, dtype=np.int64)
+_EMPTY = _Segment(np.empty(0, dtype=np.uint64), np.zeros(1, dtype=np.int64), _NONE)
+
+
+def _segment(keys: np.ndarray, members: np.ndarray) -> _Segment:
+    """The runs of (at least one) ``(key, member)`` entries sorted by key."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    return _Segment(keys[starts[:-1]], starts, members)
+
+
+def _sorted_entries(
+    block: np.ndarray, first_item: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(key, item)`` entries of consecutive items' key rows, by key."""
+    flat = block.ravel()
+    order = np.argsort(flat)
+    return flat[order], first_item + order // block.shape[1]
+
+
+def _merged(segment: _Segment, keys: np.ndarray, members: np.ndarray) -> _Segment:
+    """``segment`` plus sorted entries of items newer than all of its own."""
+    old_keys = np.repeat(segment.keys, np.diff(segment.starts))
+    at = old_keys.searchsorted(keys, side="right")
+    return _segment(np.insert(old_keys, at, keys), np.insert(segment.members, at, members))
+
+
+def _run_entries(
+    segment: _Segment, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(query, member)`` for every entry of every run a query hits.
+
+    Sorted ``queries`` let the search narrow from one key to the next.
+    """
+    keys = segment.keys
+    pos = keys.searchsorted(queries)
+    found = np.flatnonzero(keys.take(pos, mode="clip") == queries)
+    if not len(found):
+        return found, found
+    run = pos[found]
+    first = segment.starts[run]
+    lengths = segment.starts[run + 1] - first
+    entries = _ranges(first, lengths)
+    if len(entries) > len(found):
+        found = np.repeat(found, lengths)
+    return found, segment.members[entries]
+
+
+# ----------------------------------------------------------------------
+# the index surface
 # ----------------------------------------------------------------------
 
 
 class BaseClusteredIndex:
-    """The clustered-index surface above the bucket-table layout.
-
-    A subclass supplies the bucket tables through the layout hooks —
-    :meth:`_is_built`, :meth:`_bucket_hits`,
-    :meth:`_insert_into_buckets` and :meth:`_insert_many_into_buckets`
-    (plus :meth:`_bucket_sizes` for diagnostics) — and inherits build
-    validation, item storage, queries, assignment updates, amortised
-    insertion and statistics.
+    """The clustered index: item storage, queries, inserts and updates.
 
     Item storage uses amortised doubling buffers: band keys and
     assignments live in capacity arrays trimmed to the logical item
     count, so a stream of :meth:`insert` calls costs O(1) amortised
     per item instead of the O(n) reallocation a ``vstack`` per insert
-    would pay.
+    would pay.  The buckets are the sorted segments described in the
+    module docstring; :class:`ClusteredLSHIndex` builds the index.
     """
 
     def __init__(self, bands: int, rows: int, precompute_neighbours: bool = True):
@@ -214,33 +317,10 @@ class BaseClusteredIndex:
         self._assign_buf: np.ndarray | None = None  # (capacity,) int64
         self._n = 0
         self._read_only = False
+        self._state: _Buckets | None = None  # built on first use
         self._group_of: np.ndarray | None = None
         self._nbr_indptr: np.ndarray | None = None
         self._nbr_indices: np.ndarray | None = None
-
-    # -- layout hooks ----------------------------------------------------
-
-    def _is_built(self) -> bool:
-        """Whether the bucket tables exist."""
-        raise NotImplementedError
-
-    def _bucket_hits(self, keys: np.ndarray) -> list[np.ndarray]:
-        """All bucket member arrays matching a ``(bands,)`` key row."""
-        raise NotImplementedError
-
-    def _insert_into_buckets(self, keys: np.ndarray, item: int) -> None:
-        """Hash one new item into the layout's bucket tables."""
-        raise NotImplementedError
-
-    def _insert_many_into_buckets(
-        self, keys: np.ndarray, items: np.ndarray
-    ) -> None:
-        """Hash a batch of new items into the layout's bucket tables."""
-        raise NotImplementedError
-
-    def _bucket_sizes(self) -> np.ndarray:
-        """Logical member count of every non-empty bucket."""
-        raise NotImplementedError
 
     # -- shared build plumbing -------------------------------------------
 
@@ -261,19 +341,83 @@ class BaseClusteredIndex:
             raise DataValidationError("cannot build an index over zero items")
         return assignments
 
-    def _store_items(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
-        """Initialise the doubling buffers from a freshly built matrix."""
+    def _finalise(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
+        """Store a freshly built key matrix; group neighbours if asked."""
         self._keys_buf = np.ascontiguousarray(band_keys, dtype=np.uint64)
         self._assign_buf = assignments.astype(np.int64).copy()
         self._n = len(band_keys)
+        self._state = None
+        if self.precompute_neighbours:
+            self._group_of, self._nbr_indptr, self._nbr_indices = (
+                grouped_neighbour_csr(self._keys_buf)
+            )
 
-    def _store_neighbours(self, band_keys: np.ndarray, runs: BandRuns) -> None:
-        """Group identical band-key rows and build the neighbour CSR."""
-        unique_rows, group_of = np.unique(band_keys, axis=0, return_inverse=True)
-        self._group_of = group_of.astype(np.int64).ravel()
-        self._nbr_indptr, self._nbr_indices = group_csr_from_runs(
-            unique_rows, runs, len(band_keys)
-        )
+    # -- the bucket segments ---------------------------------------------
+
+    def _buckets(self) -> _Buckets:
+        """The published bucket state, built from every item on first use."""
+        state = self._state
+        if state is None:
+            assert self._keys_buf is not None
+            main = _segment(*_sorted_entries(self._keys_buf[: self._n], 0))
+            state = self._state = _Buckets(main, _EMPTY, self._n)
+        return state
+
+    def _fold_tail(self, limit: int) -> None:
+        """Sort a tail of at least ``limit`` items into the delta.
+
+        A delta that outgrows the main segment is merged into it in
+        the same step; the new state is published in one assignment.
+        """
+        state = self._state
+        if state is None or self._n - state.covered < limit:
+            return
+        assert self._keys_buf is not None
+        tail = _sorted_entries(self._keys_buf[state.covered : self._n], state.covered)
+        main, delta = state.main, _merged(state.delta, *tail)
+        if len(delta.members) > max(_MIN_DELTA, len(main.members) // _DELTA_RATIO):
+            delta_keys = np.repeat(delta.keys, np.diff(delta.starts))
+            main, delta = _merged(main, delta_keys, delta.members), _EMPTY
+        self._state = _Buckets(main, delta, self._n)
+
+    def _hits(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, member)`` for every item sharing a bucket with a query row.
+
+        ``keys`` is a ``(rows, bands)`` key matrix.  A member repeats
+        within a row once per band it matches in; callers deduplicate.
+        """
+        state = self._buckets()
+        stored = self._keys_buf
+        assert stored is not None
+        flat = keys.ravel()  # query q is row q // bands, band q % bands
+        order = np.argsort(flat) if len(keys) > 1 else None
+        queries = flat if order is None else flat[order]
+        parts = [
+            _run_entries(segment, queries)
+            for segment in (state.main, state.delta)
+            if len(segment.members)
+        ]
+        parts = [part for part in parts if len(part[0])]
+        rows: list[np.ndarray] = []
+        members: list[np.ndarray] = []
+        if parts:
+            query, member = (
+                parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            )
+            if order is not None:
+                query = order[query]
+            row, band = np.divmod(query, self.bands)
+            hit = stored[member, band] == flat[query]  # the band check
+            rows.append(row[hit])
+            members.append(member[hit])
+        if state.covered < self._n:
+            tail = stored[state.covered : self._n]
+            row, item, _ = np.nonzero(keys[:, None, :] == tail)
+            rows.append(row)
+            members.append(item + state.covered)
+        if len(members) < 2:
+            return (rows[0], members[0]) if members else (_NONE, _NONE)
+        return np.concatenate(rows), np.concatenate(members)
 
     # -- queries ---------------------------------------------------------
 
@@ -287,7 +431,7 @@ class BaseClusteredIndex:
                 self._nbr_indptr[group] : self._nbr_indptr[group + 1]
             ]
         assert self._keys_buf is not None
-        return np.unique(np.concatenate(self._bucket_hits(self._keys_buf[item])))
+        return np.unique(self._hits(self._keys_buf[item][None, :])[1])
 
     def candidate_clusters(self, item: int) -> np.ndarray:
         """The paper's shortlist: distinct clusters of the item's neighbours."""
@@ -307,20 +451,21 @@ class BaseClusteredIndex:
         signature = np.asarray(signature)
         if signature.ndim == 1:
             signature = signature[None, :]
-        keys = compute_band_keys(signature, self.bands, self.rows)[0]
-        hits = self._bucket_hits(keys)
-        if not hits:
+        keys = compute_band_keys(signature, self.bands, self.rows)[:1]
+        members = self._hits(keys)[1]
+        if not len(members):
             return np.empty(0, dtype=np.int64)
-        return np.unique(self._assign_buf[: self._n][np.concatenate(hits)])
+        return np.unique(self._assign_buf[members])
 
     def shortlists_for_signatures(
         self, signatures: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`candidate_clusters_for_signature` as a CSR pair.
 
-        Band keys for every query row are computed in one call, bucket
-        hits are gathered per row, and the per-row deduplication runs
-        as a single segmented ``np.unique`` over the whole batch.
+        Band keys for every query row are computed in one call, all
+        rows' buckets are found with one search over the sorted
+        segments, and the per-row deduplication runs as a single
+        segmented ``np.unique`` over the whole batch.
 
         Returns ``(indptr, clusters)``: row ``r``'s sorted distinct
         candidate clusters are ``clusters[indptr[r]:indptr[r + 1]]``
@@ -339,19 +484,10 @@ class BaseClusteredIndex:
         if n_rows == 0:
             return indptr, np.empty(0, dtype=np.int64)
         keys = compute_band_keys(signatures, self.bands, self.rows)
-        member_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        for row in range(n_rows):
-            hits = self._bucket_hits(keys[row])
-            if hits:
-                members = np.concatenate(hits)
-                member_parts.append(members)
-                row_parts.append(np.full(len(members), row, dtype=np.int64))
-        if not member_parts:
+        rows_idx, members = self._hits(keys)
+        if not len(members):
             return indptr, np.empty(0, dtype=np.int64)
-        members = np.concatenate(member_parts)
-        rows_idx = np.concatenate(row_parts)
-        clusters = self._assign_buf[: self._n][members]
+        clusters = self._assign_buf[members]
         low = int(clusters.min())
         span = int(clusters.max()) - low + 1
         uniq = np.unique(rows_idx * span + (clusters - low))
@@ -370,7 +506,8 @@ class BaseClusteredIndex:
         ``indices[indptr[group_of[i]]:indptr[group_of[i] + 1]]``; items
         with identical band-key rows share one list.  Returns ``None``
         when the index was built with ``precompute_neighbours=False``;
-        callers must then go through :meth:`candidate_items`.
+        callers must then go through :meth:`candidate_items` (or
+        :func:`grouped_neighbour_csr` over :attr:`band_keys`).
         """
         self._check_built()
         if self._nbr_indptr is None:
@@ -409,14 +546,19 @@ class BaseClusteredIndex:
         :meth:`update_assignment`, :meth:`set_assignments`,
         :meth:`assignments_view` — and marks its item buffers
         non-writable, so any number of threads (or forked serving
-        workers) can query it concurrently without a lock.  This is the
-        mode :class:`repro.serve.ModelServer` rebuilds persisted
-        indexes into; training always works on unfrozen indexes.
+        workers) can query it concurrently without a lock.  Freezing
+        builds the bucket segments and folds in the tail, so no query
+        ever builds or publishes state, and forked workers share the
+        segments copy-on-write.  This is the mode
+        :class:`repro.serve.ModelServer` rebuilds persisted indexes
+        into; training always works on unfrozen indexes.
         """
         self._check_built()
         if self._read_only:
             return self
         assert self._keys_buf is not None and self._assign_buf is not None
+        self._buckets()
+        self._fold_tail(1)
         # Trim the growth buffers to the logical item count so the
         # frozen views are exact, then seal them.
         self._keys_buf = self._keys_buf[: self._n]
@@ -443,9 +585,10 @@ class BaseClusteredIndex:
         their cluster reference, making them visible to subsequent
         queries.  Requires ``precompute_neighbours=False`` — grouped
         neighbour lists are frozen at build time and cannot absorb
-        inserts.  Band keys, assignments and bucket membership all
-        grow through amortised doubling buffers, so a bootstrap that
-        streams thousands of items in stays linear.
+        inserts.  Band keys and assignments grow through amortised
+        doubling buffers; the item joins the directly scanned tail,
+        which is sorted into the delta segment every
+        :data:`TAIL_ITEMS` items.
 
         Parameters
         ----------
@@ -473,7 +616,7 @@ class BaseClusteredIndex:
         self._keys_buf[item] = keys
         self._assign_buf[item] = np.int64(cluster)
         self._n = item + 1
-        self._insert_into_buckets(keys, item)
+        self._fold_tail(TAIL_ITEMS)
         return item
 
     def insert_batch(
@@ -485,14 +628,13 @@ class BaseClusteredIndex:
         """Add a whole chunk of new items at once; returns their item ids.
 
         Row-for-row equivalent to calling :meth:`insert` on each
-        ``(signature, cluster)`` pair in order, but amortised three
-        ways: band keys for the chunk are computed in **one**
+        ``(signature, cluster)`` pair in order, but amortised: band
+        keys for the chunk are computed in **one**
         :func:`~repro.lsh.bands.compute_band_keys` call, the doubling
-        buffers grow to the final size in one step, and bucket
-        membership is appended as per-band *runs* (one dict touch per
-        distinct bucket key in the chunk, not one per item) through
-        :meth:`_insert_many_into_buckets`.  This is the bulk-ingest
-        path of the streaming extension.
+        buffers grow to the final size in one step, and the chunk's
+        entries are sorted once and merged into the delta segment as
+        a whole.  This is the bulk-ingest path of the streaming
+        extension.
 
         Parameters
         ----------
@@ -551,7 +693,7 @@ class BaseClusteredIndex:
         self._keys_buf[start : start + n_new] = keys
         self._assign_buf[start : start + n_new] = clusters
         self._n = start + n_new
-        self._insert_many_into_buckets(keys, items)
+        self._fold_tail(TAIL_ITEMS)
         return items
 
     def _ensure_item_capacity(self, target: int) -> None:
@@ -570,104 +712,6 @@ class BaseClusteredIndex:
         assign_buf = np.empty(new_capacity, dtype=np.int64)
         assign_buf[:used] = self._assign_buf[:used]
         self._assign_buf = assign_buf
-
-    @staticmethod
-    def _bucket_append(
-        table: dict[int, np.ndarray], fill: dict[int, int], key: int, item: int
-    ) -> None:
-        """Append one member to a bucket with geometric over-allocation.
-
-        ``fill`` records the logical length of buckets whose array has
-        spare capacity; buckets untouched by insertion stay exact-size
-        views from the build and never appear in ``fill``.
-        """
-        members = table.get(key)
-        if members is None:
-            buf = np.empty(4, dtype=np.int64)
-            buf[0] = item
-            table[key] = buf
-            fill[key] = 1
-            return
-        used = fill.get(key, len(members))
-        if used == len(members):
-            buf = np.empty(max(4, 2 * used), dtype=np.int64)
-            buf[:used] = members[:used]
-            table[key] = buf
-            members = buf
-        members[used] = item
-        fill[key] = used + 1
-
-    @staticmethod
-    def _bucket_append_run(
-        table: dict[int, np.ndarray],
-        fill: dict[int, int],
-        key: int,
-        run: np.ndarray,
-    ) -> None:
-        """Append a whole run of members to one bucket in one step.
-
-        The batched counterpart of :meth:`_bucket_append`: capacity
-        grows at most once per call and the run is copied in with one
-        slice assignment.  Logical bucket contents end up identical to
-        appending the run's members one by one.
-        """
-        count = len(run)
-        members = table.get(key)
-        if members is None:
-            buf = np.empty(max(4, count), dtype=np.int64)
-            buf[:count] = run
-            table[key] = buf
-            fill[key] = count
-            return
-        used = fill.get(key, len(members))
-        need = used + count
-        if need > len(members):
-            buf = np.empty(max(4, 2 * used, need), dtype=np.int64)
-            buf[:used] = members[:used]
-            table[key] = buf
-            members = buf
-        members[used:need] = run
-        fill[key] = need
-
-    @classmethod
-    def _append_key_runs(
-        cls,
-        tables: list[dict[int, np.ndarray]],
-        fills: list[dict[int, int]],
-        keys: np.ndarray,
-        items: np.ndarray,
-    ) -> None:
-        """Bulk-insert ``items`` into per-band bucket tables.
-
-        Per band, the chunk's keys are sorted once and each distinct
-        bucket receives its members as a single run — O(distinct keys)
-        dict operations per band instead of O(items).  Within a bucket
-        members keep ascending item order, matching what sequential
-        appends would produce.
-        """
-        for j in range(len(tables)):
-            column = keys[:, j]
-            order = np.argsort(column, kind="stable")
-            sorted_keys = column[order]
-            boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.append(boundaries, len(order))
-            run_items = items[order]
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                cls._bucket_append_run(
-                    tables[j], fills[j], int(sorted_keys[s]), run_items[s:e]
-                )
-
-    @staticmethod
-    def _bucket_members(
-        table: dict[int, np.ndarray], fill: dict[int, int], key: int
-    ) -> np.ndarray | None:
-        """A bucket's logical members (``None`` for an absent key)."""
-        members = table.get(key)
-        if members is None:
-            return None
-        used = fill.get(key)
-        return members if used is None else members[:used]
 
     # -- cluster-reference updates ---------------------------------------
 
@@ -734,7 +778,9 @@ class BaseClusteredIndex:
     def stats(self) -> IndexStats:
         """Bucket- and neighbour-level summary statistics."""
         self._check_built()
-        sizes = self._bucket_sizes()
+        sizes = np.concatenate(
+            [np.unique(column, return_counts=True)[1] for column in self.band_keys.T]
+        )
         if self._nbr_indptr is not None:
             assert self._group_of is not None
             lengths = np.diff(self._nbr_indptr)
@@ -746,13 +792,13 @@ class BaseClusteredIndex:
             bands=self.bands,
             rows=self.rows,
             n_buckets=int(len(sizes)),
-            mean_bucket_size=float(sizes.mean()) if sizes.size else 0.0,
-            max_bucket_size=int(sizes.max()) if sizes.size else 0,
+            mean_bucket_size=float(sizes.mean()),
+            max_bucket_size=int(sizes.max()),
             mean_neighbours=mean_nb,
         )
 
     def _check_built(self) -> None:
-        if not self._is_built():
+        if self._keys_buf is None:
             raise NotFittedError(
                 "index not built; call build(signatures, assignments) first"
             )
@@ -776,9 +822,9 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         If True (default), each item's neighbour list is materialised
         at build time in the flat CSR storage (see the module
         docstring).  Queries then cost a couple of numpy gathers.
-        Turn off to save memory when buckets are enormous (for example
-        1 band × 1 row on near-duplicate data), or to keep the index
-        insertable for streaming.
+        Turn off to keep the index insertable for streaming, or to
+        keep the lists out of a fitted model when buckets are enormous
+        (a fit still builds them once for its own passes).
 
     Examples
     --------
@@ -790,15 +836,6 @@ class ClusteredLSHIndex(BaseClusteredIndex):
     >>> sorted(index.candidate_clusters(0).tolist())  # doctest: +SKIP
     [0, 1]
     """
-
-    def __init__(self, bands: int, rows: int, precompute_neighbours: bool = True):
-        super().__init__(bands, rows, precompute_neighbours)
-        self._tables: list[dict[int, np.ndarray]] | None = None
-        self._fill: list[dict[int, int]] | None = None
-
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
 
     def build(self, signatures: np.ndarray, assignments: np.ndarray) -> "ClusteredLSHIndex":
         """Index every item once (the single pass of Algorithm 2).
@@ -849,57 +886,8 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         index._finalise(band_keys.astype(np.uint64, copy=False), assignments)
         return index
 
-    def _finalise(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
-        """Common tail of :meth:`build` and :meth:`from_band_keys`."""
-        self._store_items(band_keys, assignments)
-        runs = band_runs(band_keys)
-        self._tables = tables_from_runs(runs)
-        self._fill = [{} for _ in range(self.bands)]
-        if self.precompute_neighbours:
-            self._store_neighbours(band_keys, runs)
-
-    # ------------------------------------------------------------------
-    # layout hooks
-    # ------------------------------------------------------------------
-
-    def _is_built(self) -> bool:
-        return self._tables is not None
-
-    def _bucket_hits(self, keys: np.ndarray) -> list[np.ndarray]:
-        assert self._tables is not None and self._fill is not None
-        hits: list[np.ndarray] = []
-        for j in range(self.bands):
-            members = self._bucket_members(
-                self._tables[j], self._fill[j], int(keys[j])
-            )
-            if members is not None:
-                hits.append(members)
-        return hits
-
-    def _insert_into_buckets(self, keys: np.ndarray, item: int) -> None:
-        assert self._tables is not None and self._fill is not None
-        for j in range(self.bands):
-            self._bucket_append(self._tables[j], self._fill[j], int(keys[j]), item)
-
-    def _insert_many_into_buckets(
-        self, keys: np.ndarray, items: np.ndarray
-    ) -> None:
-        assert self._tables is not None and self._fill is not None
-        self._append_key_runs(self._tables, self._fill, keys, items)
-
-    def _bucket_sizes(self) -> np.ndarray:
-        assert self._tables is not None and self._fill is not None
-        return np.array(
-            [
-                len(self._bucket_members(table, fill, key))
-                for table, fill in zip(self._tables, self._fill)
-                for key in table
-            ],
-            dtype=np.int64,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ClusteredLSHIndex(bands={self.bands}, rows={self.rows}, "
-            f"built={self._is_built()})"
+            f"built={self._keys_buf is not None})"
         )

@@ -15,16 +15,22 @@ It runs against every construction route (``build`` with and without
 precomputed neighbours, and ``from_band_keys``), so the neighbour-CSR
 fast path and the bucket walk answer the same question, and against
 three band/row splits of the same signatures, so both extremes of the
-S-curve are held to the definition too.  Any future index layout must
-pass it unchanged.
+S-curve are held to the definition too.  Growth is held to it as well:
+inserts and queries interleaved across two merges of the delta segment
+into the main one, statistics over main, delta and tail, a frozen index
+after inserts, a pickle round trip with a pending delta, and one 64-bit
+key value planted in two bands, which must not make a collision.  Any
+future index layout must pass it unchanged.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.lsh.bands import compute_band_keys
-from repro.lsh.index import BaseClusteredIndex, ClusteredLSHIndex
+from repro.lsh.index import TAIL_ITEMS, BaseClusteredIndex, ClusteredLSHIndex
 from repro.lsh.minhash import MinHasher
 from repro.lsh.tokens import TokenSets
 
@@ -91,7 +97,7 @@ def brute_bucket_sizes(keys: np.ndarray) -> np.ndarray:
     )
 
 
-def assert_matches_brute_force(index, keys, assignments):
+def assert_matches_brute_force(index, keys, assignments, n_hashes=N_HASHES):
     """Candidates, shortlists and bucket statistics equal the reference."""
     assert np.array_equal(index.band_keys, keys)
     assert np.array_equal(index.assignments, assignments)
@@ -105,7 +111,7 @@ def assert_matches_brute_force(index, keys, assignments):
     stats = index.stats()
     assert stats.n_items == len(keys)
     assert stats.bands == keys.shape[1]
-    assert stats.bands * stats.rows == N_HASHES
+    assert stats.bands * stats.rows == n_hashes
     assert stats.n_buckets == len(sizes)
     assert stats.mean_bucket_size == float(sizes.mean())
     assert stats.max_bucket_size == int(sizes.max())
@@ -348,3 +354,163 @@ class TestInsertSurface:
         new = np.arange(index.n_items, dtype=np.int64)
         index.set_assignments(new)
         assert np.array_equal(index.assignments, new)
+
+
+# ----------------------------------------------------------------------
+# growth: the tail, the delta segment and its merges into the main one
+# ----------------------------------------------------------------------
+
+
+def brute_candidates_of(keys: np.ndarray, items) -> list[np.ndarray]:
+    """Per listed item, the sorted items sharing its key in some band."""
+    return [np.flatnonzero((keys == keys[item]).any(axis=1)) for item in items]
+
+
+def assert_queries_match(index, keys, assignments, probes, items):
+    """Probe shortlists (one by one and batched) and sampled candidates."""
+    probe_keys = compute_band_keys(probes, index.bands, index.rows)
+    indptr, clusters = index.shortlists_for_signatures(probes)
+    for row, (probe, row_keys) in enumerate(zip(probes, probe_keys)):
+        expected = brute_shortlist(keys, assignments, row_keys)
+        assert np.array_equal(clusters[indptr[row] : indptr[row + 1]], expected)
+        assert np.array_equal(index.candidate_clusters_for_signature(probe), expected)
+    for item, expected in zip(items, brute_candidates_of(keys, items)):
+        assert np.array_equal(index.candidate_items(item), expected)
+        assert np.array_equal(
+            index.candidate_clusters(item), np.unique(assignments[expected])
+        )
+
+
+class TestGrowth:
+    """Inserts through the tail and the delta segment, held to the reference."""
+
+    def test_interleaved_inserts_and_queries_across_merges(
+        self, shape, signatures, keys, assignments, probes
+    ):
+        index = _build_walk(shape, signatures, assignments)
+        pool = np.vstack([signatures, probes])
+        pool_keys = compute_band_keys(pool, *shape)
+        rng = np.random.default_rng(17)
+        grown_keys, grown_assignments = keys, assignments
+        merges, main_entries = 0, None
+        while merges < 2:
+            # one batch, then single inserts that stay in the tail
+            picks = [rng.integers(0, len(pool), size=150)] + [
+                rng.integers(0, len(pool), size=1) for _ in range(TAIL_ITEMS // 2)
+            ]
+            for pick in picks:
+                clusters = rng.integers(0, 9, size=len(pick))
+                if len(pick) == 1:
+                    index.insert(pool[pick[0]], int(clusters[0]))
+                else:
+                    index.insert_batch(pool[pick], clusters)
+                grown_keys = np.vstack([grown_keys, pool_keys[pick]])
+                grown_assignments = np.concatenate([grown_assignments, clusters])
+            assert index.n_items == len(grown_keys)
+            sample = rng.choice(len(grown_keys), size=12, replace=False)
+            assert_queries_match(index, grown_keys, grown_assignments, probes, sample)
+            # the layout under test: count merges of the delta into main
+            main = len(index._buckets().main.members)
+            merges += main_entries is not None and main > main_entries
+            main_entries = main
+        assert np.array_equal(index.band_keys, grown_keys)
+        assert np.array_equal(index.assignments, grown_assignments)
+        stats = index.stats()
+        sizes = brute_bucket_sizes(grown_keys)
+        assert (stats.n_buckets, stats.max_bucket_size) == (len(sizes), sizes.max())
+        assert stats.mean_bucket_size == float(sizes.mean())
+
+    def test_stats_cover_main_delta_and_tail(
+        self, shape, signatures, keys, assignments, probes
+    ):
+        index = _build_walk(shape, signatures, assignments)
+        index.shortlists_for_signatures(probes[:1])  # build the main segment
+        arrivals = np.vstack([probes, signatures[:TAIL_ITEMS]])
+        clusters = np.arange(len(arrivals)) % 4
+        index.insert_batch(arrivals, clusters)
+        for i in range(3):
+            index.insert(signatures[i], cluster=50 + i)
+        state = index._buckets()
+        assert len(state.delta.members) and state.covered < index.n_items
+        grown_keys = np.vstack([keys, compute_band_keys(arrivals, *shape), keys[:3]])
+        grown_assignments = np.concatenate([assignments, clusters, [50, 51, 52]])
+        assert_matches_brute_force(index, grown_keys, grown_assignments)
+
+    def test_frozen_after_inserts(self, shape, signatures, keys, assignments, probes):
+        index = _build_walk(shape, signatures, assignments)
+        index.insert_batch(probes, np.arange(len(probes)) % 3)
+        index.insert(signatures[7], cluster=60)
+        assert index.freeze() is index
+        state = index._buckets()
+        assert state.covered == index.n_items  # nothing left to build or fold
+        grown_keys = np.vstack([keys, compute_band_keys(probes, *shape), keys[7:8]])
+        grown_assignments = np.concatenate(
+            [assignments, np.arange(len(probes)) % 3, [60]]
+        )
+        assert_matches_brute_force(index, grown_keys, grown_assignments)
+        assert_queries_match(
+            index, grown_keys, grown_assignments, probes, range(len(grown_keys))
+        )
+        assert index._buckets() is state
+        assert not index.band_keys.flags.writeable
+        with pytest.raises(ConfigurationError):
+            index.insert(signatures[0], cluster=1)
+        with pytest.raises(ConfigurationError):
+            index.insert_batch(signatures[:2], np.array([0, 1]))
+
+    def test_pickle_round_trip_with_pending_delta(
+        self, shape, signatures, keys, assignments, probes
+    ):
+        index = _build_walk(shape, signatures, assignments)
+        index.shortlists_for_signatures(probes[:1])
+        arrivals = np.vstack([probes, signatures[:TAIL_ITEMS]])
+        clusters = np.arange(len(arrivals)) % 5
+        index.insert_batch(arrivals, clusters)
+        index.insert(signatures[3], cluster=70)
+        state = index._buckets()
+        assert len(state.delta.members) and state.covered < index.n_items
+        copy = pickle.loads(pickle.dumps(index))
+        grown_keys = np.vstack([keys, compute_band_keys(arrivals, *shape), keys[3:4]])
+        grown_assignments = np.concatenate([assignments, clusters, [70]])
+        assert_matches_brute_force(copy, grown_keys, grown_assignments)
+        # both go on growing identically
+        for grown in (index, copy):
+            grown.insert_batch(signatures[:40], np.full(40, 80))
+        more_keys = np.vstack([grown_keys, keys[:40]])
+        more_assignments = np.concatenate([grown_assignments, np.full(40, 80)])
+        for grown in (index, copy):
+            assert_matches_brute_force(grown, more_keys, more_assignments)
+
+
+@pytest.mark.parametrize("multi_band", [(4, 3), (12, 1)], ids=["4x3", "12x1"])
+@pytest.mark.parametrize("make", ROUTES)
+def test_equal_key_in_two_bands_is_no_collision(make, multi_band):
+    """One 64-bit value is band 0's key of item 0 and band 1's of item 1."""
+    bands, rows = multi_band
+    rng = np.random.default_rng(23)
+    keys = rng.integers(1, 2**63, size=(6, bands), dtype=np.uint64)
+    shared = np.uint64(0x5EED5EED5EED5EED)
+    keys[0, 0] = keys[1, 1] = shared
+    assignments = np.arange(6, dtype=np.int64)
+    walk = make is _build_walk
+    index = ClusteredLSHIndex.from_band_keys(
+        bands, rows, keys, assignments, precompute_neighbours=not walk
+    )
+    assert index.candidate_items(0).tolist() == [0]
+    assert index.candidate_items(1).tolist() == [1]
+    assert_matches_brute_force(index, keys, assignments, n_hashes=bands * rows)
+    if not walk:
+        return
+    # the same value in two more bands, arriving through the delta
+    # segment (a batch of TAIL_ITEMS rows) and through the tail
+    arrivals = rng.integers(1, 2**63, size=(TAIL_ITEMS + 1, bands), dtype=np.uint64)
+    arrivals[0, 2] = arrivals[-1, 3] = shared
+    index.insert_batch(None, np.full(TAIL_ITEMS, 6), band_keys=arrivals[:-1])
+    index.insert_batch(None, np.array([7]), band_keys=arrivals[-1:])
+    state = index._buckets()
+    assert len(state.delta.members) and state.covered == index.n_items - 1
+    grown = np.vstack([keys, arrivals])
+    grown_assignments = np.concatenate([assignments, np.full(TAIL_ITEMS, 6), [7]])
+    for item in (0, 1, 6, len(grown) - 1):
+        assert index.candidate_items(item).tolist() == [item]
+    assert_matches_brute_force(index, grown, grown_assignments, n_hashes=bands * rows)
