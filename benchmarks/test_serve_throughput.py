@@ -20,7 +20,7 @@ items/sec land in machine-readable
 ``benchmarks/results/BENCH_serve.json``, together with a ``metrics``
 section: the merged registry snapshot of a metered serial run and the
 measured overhead of ``ServeSpec.emit_metrics`` (on vs off on the same
-stream).  The wall-clock acceptances — the process-backend server
+stream, request by request back to back, compared in CPU time).  The wall-clock acceptances — the process-backend server
 beats single-process ``ClusterModel.predict`` on both the cold and the
 warm stream (multi-core boxes; single-core boxes assert the best
 backend beats the cold path instead), and request metrics stay within
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -52,6 +53,8 @@ SEED = 2016
 N_REQUESTS = 10
 REQUEST_ROWS = N_ITEMS // N_REQUESTS
 STREAM_REPEATS = 4
+#: Streams each side of the metrics-overhead gate answers.
+OVERHEAD_STREAMS = 4
 
 #: (label, backend, n_jobs) server configurations, process first so its
 #: fork reflects the leanest heap.
@@ -170,27 +173,41 @@ def test_serve_throughput(saved_model):
     }
 
     # -- metrics overhead: the same serial stream with and without the
-    # request registry (ServeSpec.emit_metrics).  The registry view of
-    # the metered run lands in the record so the bench artifact carries
-    # the observability counters alongside the throughput numbers.
+    # request registry (ServeSpec.emit_metrics), timed in CPU time (the
+    # serial server computes in-process).  The two servers answer each
+    # request back to back, taking turns at going first, so drift in
+    # machine speed and other tenants' load hit both sides alike; the
+    # overhead is the median of the per-request CPU-time ratios.  The
+    # registry view of the metered run lands in the record so the bench
+    # artifact carries the observability counters alongside the
+    # throughput numbers.
     metered_spec = ServeSpec(backend="serial", chunk_items=2048, max_batch=N_ITEMS)
+    bare_spec = metered_spec.replace(emit_metrics=False)
+    cpu_s = {True: 0.0, False: 0.0}
+    ratios = []
     with ModelServer.from_path(path, spec=metered_spec) as metered:
-        metered.predict(requests[0])  # warm before timing
-        metered_s, metered_labels = _best_stream(metered.predict, requests)
+        with ModelServer.from_path(path, spec=bare_spec) as bare:
+            servers = {True: metered, False: bare}
+            for server in servers.values():
+                server.predict(requests[0])  # warm before timing
+            for i in range(OVERHEAD_STREAMS):
+                spent = {}
+                for j, request in enumerate(requests):
+                    metered_first = (i + j) % 2 == 0
+                    for on in (metered_first, not metered_first):
+                        start = time.process_time()
+                        labels = servers[on].predict(request)
+                        spent[on] = time.process_time() - start
+                        cpu_s[on] += spent[on]
+                        assert np.array_equal(labels, reference[j])
+                    ratios.append(spent[True] / spent[False])
         metrics_snapshot = metered.metrics_snapshot()
-    with ModelServer.from_path(
-        path, spec=metered_spec.replace(emit_metrics=False)
-    ) as bare:
-        bare.predict(requests[0])
-        bare_s, bare_labels = _best_stream(bare.predict, requests)
-    for labels in (metered_labels, bare_labels):
-        for got, expected in zip(labels, reference):
-            assert np.array_equal(got, expected)
-    overhead_pct = (metered_s - bare_s) / bare_s * 100.0
+    overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
     record["metrics"] = {
         "overhead": {
-            "metrics_on_s": round(metered_s, 4),
-            "metrics_off_s": round(bare_s, 4),
+            "metrics_on_cpu_s": round(cpu_s[True], 4),
+            "metrics_off_cpu_s": round(cpu_s[False], 4),
+            "request_pairs": len(ratios),
             "overhead_pct": round(overhead_pct, 2),
         },
         "registry": metrics_snapshot,
@@ -227,12 +244,11 @@ def test_serve_throughput(saved_model):
             f"best server stream {best_server_s:.3f}s did not beat the "
             f"cold single-process baseline {cold_s:.3f}s"
         )
-    # The nominal observability budget is <5% of serial throughput, but
-    # differencing two ~1s best-of streams resolves the cost only to
-    # ~±5 points on a busy box (the reading goes negative on quiet
-    # runs); the enforced ceiling adds that measurement margin.
+    # The nominal observability budget is <5% of serial throughput; the
+    # enforced ceiling keeps a measurement margin.
     assert overhead_pct < 12.0, (
         f"request metrics cost {overhead_pct:.2f}% of serial serving "
-        f"throughput (metrics on {metered_s:.3f}s vs off {bare_s:.3f}s); "
-        f"the observability budget is <5% + measurement noise"
+        f"CPU time (median over {len(ratios)} back-to-back request pairs; "
+        f"metrics on {cpu_s[True]:.3f}s vs off {cpu_s[False]:.3f}s in "
+        f"total); the observability budget is <5% + measurement noise"
     )

@@ -449,6 +449,10 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
                     signatures = session.compute_signatures()
                 with phases.span("index_build"):
                     index = session.build_index(signatures, labels)
+                # Nothing reads the signatures after the build; releasing
+                # them keeps the mode update's counts under the build's
+                # memory high-water mark.
+                del signatures
                 centroids = self._update_centroids(X, labels, centroids, rng)
             stats.setup_s = setup_timer.elapsed_s + session.open_s
             stats.phase_s["session_open"] = session.open_s

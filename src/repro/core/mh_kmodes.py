@@ -29,6 +29,7 @@ from repro.api.specs import EngineSpec, LSHSpec, TrainSpec
 from repro.core.framework import BaseLSHAcceleratedClustering
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.kmodes.cost import clustering_cost
+from repro.kmodes.counts import ModeCounts
 from repro.kmodes.initialization import resolve_init
 from repro.kmodes.modes import compute_modes
 from repro.kmodes.postings import ModePostings
@@ -117,6 +118,7 @@ class MHKModes(BaseLSHAcceleratedClustering):
         self._hasher = MinHasher(self.bands * self.rows, seed=self._hash_seed())
         self._fitted_domain_size: int | None = None
         self._postings: ModePostings | None = None
+        self._mode_counts: ModeCounts | None = None
 
     def _hash_seed(self) -> int:
         # Decouple the hashing stream from the initialisation stream so
@@ -223,6 +225,16 @@ class MHKModes(BaseLSHAcceleratedClustering):
         # (c, s) mismatch counts in one comparison tensor.
         return np.count_nonzero(centroid_blocks != block[:, None, :], axis=2)
 
+    def fit(self, X: np.ndarray, initial_centroids: np.ndarray | None = None):
+        # The mode counts live for one fit: every mode update after the
+        # first counts only the items that moved.  No fitted, pickled or
+        # saved model carries them.
+        self._mode_counts = None
+        try:
+            return super().fit(X, initial_centroids=initial_centroids)
+        finally:
+            self._mode_counts = None
+
     def _update_centroids(
         self,
         X: np.ndarray,
@@ -230,6 +242,8 @@ class MHKModes(BaseLSHAcceleratedClustering):
         previous: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
+        if self._mode_counts is None:
+            self._mode_counts = ModeCounts(self.n_clusters, X.shape[1])
         return compute_modes(
             X,
             labels,
@@ -237,6 +251,7 @@ class MHKModes(BaseLSHAcceleratedClustering):
             previous_modes=previous,
             empty_policy=self.empty_cluster_policy,
             rng=rng,
+            counts=self._mode_counts,
         )
 
     def _compute_cost(

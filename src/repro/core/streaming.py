@@ -14,9 +14,12 @@ item can be hashed into the existing buckets in O(bands).
 2. **streaming** — arriving items are MinHashed, inserted into the
    buckets with their cluster references, and assigned to the nearest
    mode on their shortlists.  Per-cluster per-attribute value counts
-   are maintained incrementally, and modes are refreshed from these
-   counts every ``refresh_interval`` arrivals — no pass over past data
-   ever happens again.
+   are maintained incrementally (:class:`ClusterModeTracker`: a dense
+   tensor for small key spaces, otherwise the sorted layout of
+   :class:`~repro.kmodes.counts.ModeCounts` that every fit's mode
+   update uses), and modes are refreshed from these counts every
+   ``refresh_interval`` arrivals — no pass over past data ever happens
+   again.
 
 Two ingest paths share one semantics:
 
@@ -64,24 +67,26 @@ from repro.exceptions import (
     DataValidationError,
     check_fitted,
 )
+from repro.kmodes.counts import ModeCounts, raise_best
 from repro.lsh.bands import compute_band_keys
 from repro.lsh.minhash import MinHasher
 from repro.obs import PhaseSpans, traced
 
-__all__ = ["ClusterModeTracker", "StreamingMHKModes", "DENSE_CATEGORY_LIMIT"]
+__all__ = ["ClusterModeTracker", "StreamingMHKModes"]
 
 #: The batch-ingest pipeline phases, in pipeline order.  Both
 #: ``extend_stats_`` (last call) and ``extend_stats_total_``
 #: (lifetime) carry exactly these keys.
 _EXTEND_PHASES = ("signatures", "shortlist", "walk", "update", "refresh")
 
-#: Largest per-attribute category cardinality the dense count tensor
-#: keeps; beyond it the tracker falls back to dict-of-dicts storage.
-DENSE_CATEGORY_LIMIT = 2048
-
-#: Cap on total dense count-tensor elements (clusters × attributes ×
-#: categories); the dense layout is used only while under it.
+#: Cap on dense count-tensor elements (clusters × attributes × value
+#: span); larger key spaces count in the sorted layout.
 _DENSE_ELEMENT_BUDGET = 16_000_000
+
+#: Rows :meth:`ClusterModeTracker.add` buffers before counting them as
+#: one batch: a sorted-layout update costs about as much for one row
+#: as for dozens.
+_PENDING_ROWS = 64
 
 
 class ClusterModeTracker:
@@ -89,44 +94,34 @@ class ClusterModeTracker:
 
     Maintains, for every cluster and attribute, value counts so the
     mode (most frequent value, smallest code on ties) can be read off
-    at any time without touching historical items.
+    at any time without touching historical items.  The route is chosen
+    from the key space, clusters × attributes × value span:
 
-    Two array-backed ideas make it fast at streaming rates:
+    * within ``_DENSE_ELEMENT_BUDGET`` elements (and non-negative
+      codes), counts live in a dense ``(n_clusters, n_attributes,
+      span)`` int64 tensor updated by :func:`repro.kernels.count_update`;
+      the best value and count of each *(cluster, attribute)* pair come
+      from one ``argmax`` at build time and from
+      :func:`~repro.kmodes.counts.raise_best` after each batch;
+    * any other key space counts in
+      :class:`~repro.kmodes.counts.ModeCounts`, the sorted layout
+      behind every fit's mode update.  A dense tracker whose codes go
+      negative or outgrow the budget moves its counts there once.
 
-    * counts live in a dense ``(n_clusters, n_attributes,
-      n_categories)`` int64 tensor updated with ``np.add.at`` (batch
-      counting is one scatter-add); when the category cardinality
-      outgrows ``dense_limit`` — or the tensor would outgrow a fixed
-      element budget — the tracker converts itself once to a
-      dict-of-dicts layout whose batch updates aggregate the chunk
-      with a single flat ``np.unique`` over encoded *(cluster,
-      attribute, value)* triples, so dict traffic scales with distinct
-      triples, not items;
-    * the running mode itself is tracked **incrementally** in two
-      ``(n_clusters, n_attributes)`` arrays (best value / best count).
-      Counts only ever increase, so an increment can only improve the
-      incremented value's standing — comparing each updated triple
-      against the cached best (higher count wins, smaller code on
-      equal counts) keeps the cache exactly equal to a full argmax at
-      all times, and :meth:`modes` becomes a cached ``np.where`` read
-      instead of a scan over every counter.  The tie-break matches
-      :func:`repro.kmodes.modes.compute_modes` exactly, and both
-      layouts are conformance-tested against each other.
+    Both routes keep the best value exactly equal to a full argmax at
+    all times, so :meth:`modes` is a cached read, and the tie-break is
+    that of :func:`repro.kmodes.modes.compute_modes`.  Rows counted one
+    at a time by :meth:`add` wait in a buffer of ``_PENDING_ROWS`` and
+    are counted as one batch before anything reads the counts.
 
     Parameters
     ----------
     n_clusters, n_attributes:
         Count tensor extents.
     n_categories:
-        Expected category cardinality (the tensor grows on demand when
-        larger codes arrive; ``None`` starts small).
-    storage:
-        ``'auto'`` (dense while feasible, dict beyond — the default),
-        ``'dense'`` or ``'dict'`` (forced layouts, used by the
-        conformance tests).
-    dense_limit:
-        The category-cardinality threshold above which ``'auto'``
-        falls back to dict storage.
+        Expected category cardinality: the dense tensor's starting
+        span (it grows on demand when larger codes arrive; ``None``
+        starts small).
     """
 
     def __init__(
@@ -134,180 +129,157 @@ class ClusterModeTracker:
         n_clusters: int,
         n_attributes: int,
         n_categories: int | None = None,
-        storage: str = "auto",
-        dense_limit: int = DENSE_CATEGORY_LIMIT,
     ):
         if n_clusters <= 0 or n_attributes <= 0:
             raise ConfigurationError(
                 "n_clusters and n_attributes must be positive, got "
                 f"{n_clusters} and {n_attributes}"
             )
-        if storage not in ("auto", "dense", "dict"):
-            raise ConfigurationError(
-                f"storage must be 'auto', 'dense' or 'dict', got {storage!r}"
-            )
         if n_categories is not None and n_categories <= 0:
             raise ConfigurationError(
                 f"n_categories must be positive, got {n_categories}"
             )
-        if dense_limit <= 0:
-            raise ConfigurationError(
-                f"dense_limit must be positive, got {dense_limit}"
-            )
         self.n_clusters = int(n_clusters)
         self.n_attributes = int(n_attributes)
-        self.storage_mode = storage
-        self.dense_limit = int(dense_limit)
         self.cluster_sizes = np.zeros(n_clusters, dtype=np.int64)
         self._attr_idx = np.arange(n_attributes, dtype=np.int64)
-        self._counts: list[list[dict[int, int]]] | None = None
+        self._pending = np.empty((_PENDING_ROWS, n_attributes), dtype=np.int64)
+        self._pending_labels = np.empty(_PENDING_ROWS, dtype=np.int64)
+        self._n_pending = 0
+        self._sorted: ModeCounts | None = None
         self._dense: np.ndarray | None = None
-        # The incrementally maintained argmax: value with the highest
-        # count (smallest value on ties) per (cluster, attribute), and
-        # that count (0 = no items yet -> mode falls back).
-        self._best_value = np.zeros(
-            (self.n_clusters, self.n_attributes), dtype=np.int64
-        )
-        self._best_count = np.zeros(
-            (self.n_clusters, self.n_attributes), dtype=np.int64
-        )
-        if storage == "dict":
-            self._init_dict()
-        else:
-            capacity = (
-                int(n_categories)
-                if n_categories is not None
-                else min(16, self.dense_limit)
+        capacity = 16 if n_categories is None else int(n_categories)
+        if self._dense_feasible(capacity):
+            self._dense = np.zeros(
+                (self.n_clusters, self.n_attributes, capacity), dtype=np.int64
             )
-            if storage == "auto" and not self._dense_feasible(capacity):
-                self._init_dict()
-            else:
-                self._dense = np.zeros(
-                    (self.n_clusters, self.n_attributes, capacity),
-                    dtype=np.int64,
-                )
+            # the dense route's incrementally kept argmax
+            self._best_value = np.zeros((n_clusters, n_attributes), np.int64)
+            self._best_count = np.zeros((n_clusters, n_attributes), np.int64)
+        else:
+            self._sorted = ModeCounts(self.n_clusters, self.n_attributes)
 
     @property
     def storage(self) -> str:
-        """The live layout: ``'dense'`` or ``'dict'``."""
-        return "dense" if self._dense is not None else "dict"
+        """The live route: ``'dense'`` or ``'sorted'``."""
+        return "dense" if self._dense is not None else "sorted"
 
     @classmethod
     def from_assignment(
-        cls, X: np.ndarray, labels: np.ndarray, n_clusters: int, **kwargs
+        cls, X: np.ndarray, labels: np.ndarray, n_clusters: int
     ) -> "ClusterModeTracker":
-        """Build counts from an existing batch assignment."""
+        """Build counts from an existing batch assignment in one pass.
+
+        The dense route scatters the batch and takes one ``argmax``;
+        the sorted route sorts every cell once.
+        """
         X = np.asarray(X)
-        hint = kwargs.pop("n_categories", None)
-        if (
-            hint is None
-            and X.size
-            and np.issubdtype(X.dtype, np.integer)
-            and X.min() >= 0
-        ):
-            hint = int(X.max()) + 1
-        tracker = cls(n_clusters, X.shape[1], n_categories=hint, **kwargs)
-        tracker.add_batch(X, np.asarray(labels, dtype=np.int64))
+        labels = np.asarray(labels, dtype=np.int64)
+        span = None
+        if X.size and X.dtype.kind in "biu" and X.min() >= 0:
+            span = int(X.max()) + 1
+        tracker = cls(n_clusters, X.shape[1], n_categories=span)
+        tracker._check_batch(X, labels)
+        if tracker._dense is None or span is None:
+            tracker._count(X, labels)
+        else:  # a tensor sized to the batch's codes
+            dense = tracker._dense
+            kernels.count_update(dense, np.ascontiguousarray(X, np.int64), labels)
+            tracker._best_value = dense.argmax(axis=2)
+            tracker._best_count = np.take_along_axis(
+                dense, tracker._best_value[:, :, None], axis=2
+            )[:, :, 0]
+        tracker.cluster_sizes += np.bincount(labels, minlength=n_clusters)
         return tracker
 
-    # -- layout plumbing -------------------------------------------------
+    # -- routes ----------------------------------------------------------
 
     def _dense_feasible(self, capacity: int) -> bool:
-        return (
-            capacity <= self.dense_limit
-            and self.n_clusters * self.n_attributes * capacity
-            <= _DENSE_ELEMENT_BUDGET
-        )
+        return self.n_clusters * self.n_attributes * capacity <= _DENSE_ELEMENT_BUDGET
 
-    def _init_dict(self) -> None:
-        self._counts = [
-            [{} for _ in range(self.n_attributes)]
-            for _ in range(self.n_clusters)
-        ]
-        self._dense = None
-
-    def _to_dict(self) -> None:
-        """One-way conversion of the dense counts into dict storage."""
+    def _to_sorted(self) -> None:
+        """Move the dense counts into the sorted layout (one way)."""
         dense = self._dense
         assert dense is not None
-        self._init_dict()
-        assert self._counts is not None
-        c_idx, a_idx, v_idx = np.nonzero(dense)
-        values = dense[c_idx, a_idx, v_idx]
-        for c, a, v, count in zip(
-            c_idx.tolist(), a_idx.tolist(), v_idx.tolist(), values.tolist()
-        ):
-            self._counts[c][a][v] = count
+        cluster, attribute, value = np.nonzero(dense)
+        self._sorted = ModeCounts(self.n_clusters, self.n_attributes)
+        self._sorted.add_triples(
+            cluster, attribute, value, dense[cluster, attribute, value]
+        )
+        self._dense = None
 
-    def _accommodate(self, values: np.ndarray) -> bool:
-        """Make the dense tensor able to count ``values``.
-
-        Grows capacity by doubling; converts to dict storage when the
-        grown tensor would break the threshold/budget (``'auto'``) or
-        when negative codes appear.  Returns True while dense.
-        """
+    def _fits_dense(self, values: np.ndarray) -> bool:
+        """Grow the dense tensor to hold ``values``; False once sorted."""
         if self._dense is None:
             return False
-        if values.size == 0:
-            return True
-        low = int(values.min())
-        if low < 0:
-            if self.storage_mode == "dense":
-                raise DataValidationError(
-                    "dense mode tracking requires non-negative category "
-                    f"codes, got {low}"
-                )
-            self._to_dict()
-            return False
-        high = int(values.max())
         capacity = self._dense.shape[2]
-        if high < capacity:
+        high = int(values.max())
+        if high < capacity and values.min() >= 0:
             return True
-        new_capacity = max(4, capacity)
-        while new_capacity <= high:
-            new_capacity *= 2
-        if self.storage_mode == "auto" and not self._dense_feasible(new_capacity):
-            self._to_dict()
+        grown = max(4, capacity)
+        while grown <= high:
+            grown *= 2
+        if values.min() < 0 or not self._dense_feasible(grown):
+            self._to_sorted()
             return False
-        grown = np.zeros(
-            (self.n_clusters, self.n_attributes, new_capacity), dtype=np.int64
-        )
-        grown[:, :, :capacity] = self._dense
-        self._dense = grown
+        tensor = np.zeros((self.n_clusters, self.n_attributes, grown), np.int64)
+        tensor[:, :, :capacity] = self._dense
+        self._dense = tensor
         return True
 
-    def _update_best(
-        self,
-        c_arr: np.ndarray,
-        a_arr: np.ndarray,
-        v_arr: np.ndarray,
-        new_counts: np.ndarray,
-    ) -> None:
-        """Fold updated count triples into the cached argmax.
-
-        ``new_counts`` holds each triple's count *after* the update.
-        Per (cluster, attribute) pair the best candidate is picked with
-        one lexsort (count descending, value ascending) and compared
-        against the cache; because counts only grow, a stale cached
-        entry is always itself among the candidates with its new count,
-        so the cache stays exactly the full argmax.
-        """
-        if len(c_arr) == 0:
+    def _count(self, values: np.ndarray, labels: np.ndarray) -> None:
+        """Count validated rows into whichever route holds the counts."""
+        if not len(values):
             return
-        order = np.lexsort((v_arr, -new_counts))
-        pair = c_arr[order] * self.n_attributes + a_arr[order]
-        first = np.unique(pair, return_index=True)[1]
-        winners = order[first]
-        cc = c_arr[winners]
-        aa = a_arr[winners]
-        vv = v_arr[winners]
-        nn = new_counts[winners]
-        cached_count = self._best_count[cc, aa]
-        cached_value = self._best_value[cc, aa]
-        better = (nn > cached_count) | ((nn == cached_count) & (vv < cached_value))
-        if np.any(better):
-            self._best_count[cc[better], aa[better]] = nn[better]
-            self._best_value[cc[better], aa[better]] = vv[better]
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        if not self._fits_dense(values):
+            assert self._sorted is not None
+            self._sorted.add(values, labels)
+            return
+        dense = self._dense
+        # Scatter-add the batch and gather each cell's final count
+        # (compiled when a backend is available; integer adds commute,
+        # so every backend is bit-identical).
+        new_counts = kernels.count_update(dense, values, labels)
+        span = dense.shape[2]
+        keys = (labels[:, None] * self.n_attributes + self._attr_idx) * span + values
+        keys, first = np.unique(keys, return_index=True)
+        pairs = keys // span
+        raise_best(
+            self._best_value,
+            self._best_count,
+            pairs,
+            keys - pairs * span,
+            new_counts.reshape(-1)[first],
+        )
+
+    def _flush(self) -> None:
+        """Count the rows :meth:`add` buffered."""
+        n = self._n_pending
+        if n:
+            self._n_pending = 0
+            self._count(self._pending[:n], self._pending_labels[:n])
+
+    def _best(self) -> tuple[np.ndarray, np.ndarray]:
+        self._flush()
+        if self._sorted is not None:
+            return self._sorted.best_value, self._sorted.best_count
+        return self._best_value, self._best_count
+
+    def _check_batch(self, X: np.ndarray, labels: np.ndarray) -> None:
+        if X.ndim != 2 or X.shape[1] != self.n_attributes:
+            raise DataValidationError(
+                f"X must be (n, {self.n_attributes}), got shape {X.shape}"
+            )
+        if labels.shape != (X.shape[0],):
+            raise DataValidationError(
+                f"{X.shape[0]} items but {len(labels)} labels"
+            )
+        if len(labels) and (labels.min() < 0 or labels.max() >= self.n_clusters):
+            raise DataValidationError(
+                f"cluster {int(labels.min() if labels.min() < 0 else labels.max())} "
+                f"outside [0, {self.n_clusters})"
+            )
 
     # -- counting --------------------------------------------------------
 
@@ -323,105 +295,22 @@ class ClusterModeTracker:
                 f"item must be 1-D with {self.n_attributes} attributes, "
                 f"got shape {values.shape}"
             )
-        if self._accommodate(values):
-            assert self._dense is not None
-            self._dense[cluster, self._attr_idx, values] += 1
-            new_counts = self._dense[cluster, self._attr_idx, values]
-        else:
-            assert self._counts is not None
-            row = self._counts[cluster]
-            new_counts = np.empty(self.n_attributes, dtype=np.int64)
-            for j in range(self.n_attributes):
-                value = int(values[j])
-                count = row[j].get(value, 0) + 1
-                row[j][value] = count
-                new_counts[j] = count
-        self._update_best(
-            np.full(self.n_attributes, cluster, dtype=np.int64),
-            self._attr_idx,
-            values,
-            new_counts,
-        )
+        slot = self._n_pending
+        self._pending[slot] = values
+        self._pending_labels[slot] = cluster
+        self._n_pending = slot + 1
         self.cluster_sizes[cluster] += 1
+        if self._n_pending == _PENDING_ROWS:
+            self._flush()
 
     def add_batch(self, X: np.ndarray, labels: np.ndarray) -> None:
         """Count a whole batch at once (order-independent, so identical
         to calling :meth:`add` row by row)."""
         X = np.asarray(X)
         labels = np.asarray(labels, dtype=np.int64)
-        if X.ndim != 2 or X.shape[1] != self.n_attributes:
-            raise DataValidationError(
-                f"X must be (n, {self.n_attributes}), got shape {X.shape}"
-            )
-        if labels.shape != (X.shape[0],):
-            raise DataValidationError(
-                f"{X.shape[0]} items but {len(labels)} labels"
-            )
-        if X.shape[0] == 0:
-            return
-        if labels.min() < 0 or labels.max() >= self.n_clusters:
-            raise DataValidationError(
-                f"cluster {int(labels.min() if labels.min() < 0 else labels.max())} "
-                f"outside [0, {self.n_clusters})"
-            )
-        values = X.astype(np.int64, copy=False)
-        m = self.n_attributes
-        if self._accommodate(values):
-            assert self._dense is not None
-            # Scatter-add the batch into the count tensor and gather
-            # each triple's final count (repro.kernels: compiled when a
-            # backend is available, np.add.at + fancy-gather otherwise;
-            # integer adds commute, so every backend is bit-identical).
-            new_counts = kernels.count_update(
-                self._dense, np.ascontiguousarray(values), labels
-            )
-            # gathered after the scatter-add, every occurrence of a
-            # triple reads the same final count
-            self._update_best(
-                np.repeat(labels, m),
-                np.tile(self._attr_idx, len(labels)),
-                values.reshape(-1),
-                new_counts.reshape(-1),
-            )
-        else:
-            assert self._counts is not None
-            # one flat unique over encoded (cluster, attribute, value)
-            # triples: dict traffic scales with distinct triples
-            flat_values = values.reshape(-1)
-            low = int(flat_values.min())
-            span = int(flat_values.max()) - low + 1
-            if span > (2**62) // (self.n_clusters * m):
-                # the flat encoding would overflow int64 (gigantic code
-                # range, e.g. hashed 64-bit ids): count row by row —
-                # identical semantics, just without the batched unique
-                for row, label in zip(values, labels.tolist()):
-                    self.add(row, label)
-                return
-            pair_key = (
-                np.repeat(labels, m) * m
-                + np.tile(self._attr_idx, len(labels))
-            )
-            encoded = pair_key * span + (flat_values - low)
-            uniq, occurrences = np.unique(encoded, return_counts=True)
-            u_pair = uniq // span
-            v_arr = uniq - u_pair * span + low
-            c_arr = u_pair // m
-            a_arr = u_pair - c_arr * m
-            new_counts = np.empty(len(uniq), dtype=np.int64)
-            counts_rows = self._counts
-            for i, (c, a, v, occ) in enumerate(
-                zip(
-                    c_arr.tolist(),
-                    a_arr.tolist(),
-                    v_arr.tolist(),
-                    occurrences.tolist(),
-                )
-            ):
-                bucket = counts_rows[c][a]
-                count = bucket.get(v, 0) + occ
-                bucket[v] = count
-                new_counts[i] = count
-            self._update_best(c_arr, a_arr, v_arr, new_counts)
+        self._check_batch(X, labels)
+        self._flush()
+        self._count(X, labels)
         self.cluster_sizes += np.bincount(labels, minlength=self.n_clusters)
 
     # -- modes -----------------------------------------------------------
@@ -432,9 +321,10 @@ class ClusterModeTracker:
             raise DataValidationError(
                 f"cluster {cluster} outside [0, {self.n_clusters})"
             )
+        best_value, best_count = self._best()
         out = fallback.copy()
-        populated = self._best_count[cluster] > 0
-        out[populated] = self._best_value[cluster][populated]
+        populated = best_count[cluster] > 0
+        out[populated] = best_value[cluster][populated]
         return out
 
     def modes(self, fallback: np.ndarray) -> np.ndarray:
@@ -445,9 +335,10 @@ class ClusterModeTracker:
                 f"fallback shape {fallback.shape} != "
                 f"({self.n_clusters}, {self.n_attributes})"
             )
-        return np.where(
-            self._best_count > 0, self._best_value, fallback
-        ).astype(fallback.dtype, copy=False)
+        best_value, best_count = self._best()
+        return np.where(best_count > 0, best_value, fallback).astype(
+            fallback.dtype, copy=False
+        )
 
 
 # ----------------------------------------------------------------------
@@ -735,8 +626,10 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
             item[None, :],
             domain_size=self._fitted_domain,
             absent_code=self.absent_code,
-        )[0]
-        shortlist = index.candidate_clusters_for_signature(signature)
+        )
+        # banded once, for the query and the insert
+        keys = compute_band_keys(signature, index.bands, index.rows)
+        shortlist = index._clusters_for_keys(keys)
         if shortlist.size == 0:
             self._require_stream_fallback()
             self.n_fallbacks_ += 1
@@ -746,7 +639,7 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         )
         cluster = int(shortlist[np.argmin(distances)])
 
-        index.insert(signature, cluster)
+        index.insert_batch(signature, np.array([cluster]), band_keys=keys)
         self._tracker.add(item, cluster)
         self.n_seen_ += 1
         self._since_refresh += 1
@@ -764,8 +657,8 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         assignment kernel, an ordered collision walk for rows that
         share a band key within the chunk, one amortised
         ``insert_batch`` and one batched count update (compiled via
-        :mod:`repro.kernels` on the dense tier) per processing
-        segment.  Segments are bounded by
+        :mod:`repro.kernels` on the tracker's dense route) per
+        processing segment.  Segments are bounded by
         ``stream.chunk_items`` *and* by the next mode-refresh boundary,
         so labels and refreshed modes are bit-identical to calling
         :meth:`push` on every row in order — for any chunk size and

@@ -7,7 +7,8 @@ Implemented from scratch per Section III-A1 of the paper:
 * :mod:`repro.kmodes.postings` — the exact nearest-mode search from
   *(attribute, value)* mode postings behind MH-K-Modes' full scans;
 * :mod:`repro.kmodes.modes` — column-wise most-frequent-value modes,
-  the minimiser of D(X, Q) (Equation 3);
+  the minimiser of D(X, Q) (Equation 3), read from the sorted
+  *(cluster, attribute, value)* counts of :mod:`repro.kmodes.counts`;
 * :mod:`repro.kmodes.cost` — the clustering cost P(W, Q) (Equation 4);
 * :mod:`repro.kmodes.initialization` — random (used by the paper),
   Huang and Cao centroid initialisation;

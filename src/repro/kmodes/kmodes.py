@@ -30,6 +30,7 @@ from repro.exceptions import (
 )
 from repro.instrumentation import RunStats, Timer
 from repro.kmodes.cost import clustering_cost
+from repro.kmodes.counts import ModeCounts
 from repro.kmodes.initialization import resolve_init
 from repro.kmodes.modes import compute_modes
 
@@ -168,6 +169,8 @@ class KModes(EstimatorProtocol):
         labels = np.full(n, -1, dtype=np.int64)
         stats = RunStats(algorithm="K-Modes")
         converged = False
+        # carried across iterations: each mode update counts the moves only
+        counts = ModeCounts(self.n_clusters, X.shape[1])
 
         for _ in range(self.max_iter):
             with Timer() as timer:
@@ -179,6 +182,7 @@ class KModes(EstimatorProtocol):
                     previous_modes=modes,
                     empty_policy=self.empty_cluster_policy,
                     rng=rng,
+                    counts=counts,
                 )
                 labels = new_labels
             cost = (

@@ -2,15 +2,18 @@
 
 The mode of a cluster is, column by column, its most frequent category
 value; the paper's Section III-A1 shows this is exactly the vector Q
-minimising D(X, Q) (Equation 3).  Computing modes naively (one
-``np.unique`` per cluster per column) costs k·m small kernel launches;
-instead we fuse all clusters of one column into a single sort by
-encoding ``(cluster, value)`` pairs as one integer — one ``np.unique``
-per column regardless of k.
+minimising D(X, Q) (Equation 3).  Every cluster's counts come from one
+table, the sorted *(cluster, attribute, value)* layout of
+:class:`~repro.kmodes.counts.ModeCounts`: one sort of all n·m encoded
+cells and one segmented maximum per call, whatever k and m are.  A
+caller that iterates (the K-Modes and MH-K-Modes fits) passes the same
+counts to every call, and each call then moves only the rows whose
+label changed, so an iteration pays for its moves, not for n·m cells.
 
 Ties are broken towards the smallest category code, which makes mode
 computation fully deterministic (important for reproducing runs and
-for the MH-vs-exact equivalence tests).
+for the MH-vs-exact equivalence tests).  The codes may be any int64
+values, negative ones included.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataValidationError, EmptyClusterError
+from repro.kmodes.counts import ModeCounts
 
 __all__ = ["compute_modes", "column_mode"]
 
@@ -46,6 +50,7 @@ def compute_modes(
     previous_modes: np.ndarray | None = None,
     empty_policy: str = "keep",
     rng: np.random.Generator | None = None,
+    counts: ModeCounts | None = None,
 ) -> np.ndarray:
     """Frequency-based mode update for every cluster at once.
 
@@ -69,6 +74,13 @@ def compute_modes(
         * ``'error'`` — raise :class:`EmptyClusterError`.
     rng:
         Generator for the ``'reinit'`` policy.
+    counts:
+        Counts to carry from one call to the next: an empty
+        :class:`~repro.kmodes.counts.ModeCounts` of ``(n_clusters, m)``
+        pairs on the first call, the same object on later calls with
+        the same ``X`` object, which then counts only the rows whose
+        label changed.  The result never depends on it; counts built on
+        another matrix raise :class:`DataValidationError`.
 
     Returns
     -------
@@ -96,34 +108,25 @@ def compute_modes(
         )
 
     n, m = X.shape
-    counts = np.bincount(labels, minlength=n_clusters)
-    empty = np.flatnonzero(counts == 0)
+    sizes = np.bincount(labels, minlength=n_clusters)
+    empty = np.flatnonzero(sizes == 0)
     if empty.size and empty_policy == "error":
         raise EmptyClusterError(
             f"{empty.size} cluster(s) have no members: {empty[:10].tolist()}"
         )
 
-    modes = np.empty((n_clusters, m), dtype=X.dtype)
-    value_span = int(X.max()) + 1 if X.size else 1
-    labels64 = labels.astype(np.int64)
-    for j in range(m):
-        # Encode (cluster, value) pairs into single integers so one
-        # np.unique covers every cluster's histogram for this column.
-        pairs = labels64 * value_span + X[:, j].astype(np.int64)
-        uniques, pair_counts = np.unique(pairs, return_counts=True)
-        pair_clusters = uniques // value_span
-        pair_values = uniques % value_span
-        # Sort by (cluster asc, count asc, value desc); the last entry
-        # of each cluster's run is then its most frequent value, with
-        # ties resolved towards the smallest value code.
-        order = np.lexsort((-pair_values, pair_counts, pair_clusters))
-        sorted_clusters = pair_clusters[order]
-        run_ends = np.flatnonzero(
-            np.r_[sorted_clusters[1:] != sorted_clusters[:-1], True]
-        )
-        modes[sorted_clusters[run_ends], j] = pair_values[order][run_ends].astype(
-            X.dtype
-        )
+    if m == 0:
+        modes = np.empty((n_clusters, 0), dtype=X.dtype)
+    else:
+        if counts is None:
+            counts = ModeCounts(n_clusters, m)
+        elif (counts.n_clusters, counts.n_attributes) != (n_clusters, m):
+            raise DataValidationError(
+                f"counts hold ({counts.n_clusters}, {counts.n_attributes}) "
+                f"pairs, not ({n_clusters}, {m})"
+            )
+        counts.sync(X, labels)
+        modes = counts.best_value.astype(X.dtype)
 
     if empty.size:
         if empty_policy == "keep":

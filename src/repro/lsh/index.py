@@ -447,11 +447,17 @@ class BaseClusteredIndex:
         signature collides with nothing.
         """
         self._check_built()
-        assert self._assign_buf is not None
         signature = np.asarray(signature)
         if signature.ndim == 1:
             signature = signature[None, :]
-        keys = compute_band_keys(signature, self.bands, self.rows)[:1]
+        return self._clusters_for_keys(
+            compute_band_keys(signature, self.bands, self.rows)[:1]
+        )
+
+    def _clusters_for_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Sorted distinct clusters sharing a bucket with one ``(1, bands)``
+        key row (the caller may reuse the keys for an insert)."""
+        assert self._assign_buf is not None
         members = self._hits(keys)[1]
         if not len(members):
             return np.empty(0, dtype=np.int64)

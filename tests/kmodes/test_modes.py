@@ -119,6 +119,19 @@ class TestComputeModes:
         modes = compute_modes(X, np.zeros(3, dtype=np.int64), 1)
         assert modes[0].tolist() == [39_999, 5]
 
+    def test_negative_codes(self):
+        # the estimators reject them, but the public function takes any
+        # int64 code; (cluster, value) encodings must not alias them
+        X = np.array([[-1, 3], [-1, -7], [4, -7]])
+        modes = compute_modes(X, np.array([0, 0, 1]), 2)
+        assert modes.tolist() == [[-1, -7], [4, -7]]
+
+    def test_codes_near_the_int64_limit(self):
+        # a key of cluster * (max code + 1) + code would wrap int64
+        X = np.array([[2**62], [2**62], [5], [2**63 - 1]], dtype=np.int64)
+        modes = compute_modes(X, np.array([1, 1, 0, 0]), 2)
+        assert modes[:, 0].tolist() == [5, 2**62]
+
     def test_matches_naive_implementation(self):
         rng = np.random.default_rng(9)
         X = rng.integers(0, 6, (60, 5))

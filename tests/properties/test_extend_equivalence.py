@@ -10,10 +10,11 @@ Hypothesis drives random scenarios through the serial and thread
 paths; the process backend (expensive to spin per example) is pinned
 to a representative fixed workload.
 
-The :class:`repro.core.ClusterModeTracker` storage layouts (dense
-count tensor with the incrementally maintained argmax vs the
-dict-of-dicts fallback) are conformance-tested against each other and
-against a brute-force recount.
+Both routes of :class:`repro.core.ClusterModeTracker` (the dense count
+tensor for small key spaces, the sorted layout of
+:class:`repro.kmodes.counts.ModeCounts` otherwise), each selected by its
+data, are held to a brute-force recount; ``tests/kmodes/test_counts.py``
+holds the sorted layout itself to one.
 """
 
 from __future__ import annotations
@@ -239,7 +240,19 @@ class TestProcessBackendPinned:
         assert live_pool_count() == 0
 
 
+def _brute_modes(X, labels, k, fallback):
+    expected = fallback.copy()
+    for cluster in range(k):
+        members = X[labels == cluster]
+        for j in range(X.shape[1] if len(members) else 0):
+            values, counts = np.unique(members[:, j], return_counts=True)
+            expected[cluster, j] = min(zip(-counts, values))[1]
+    return expected
+
+
 class TestTrackerConformance:
+    """Both tracker routes, each selected by its data, against a recount."""
+
     @settings(
         max_examples=40,
         deadline=None,
@@ -249,36 +262,28 @@ class TestTrackerConformance:
         n=st.integers(min_value=0, max_value=120),
         m=st.integers(min_value=1, max_value=6),
         k=st.integers(min_value=1, max_value=8),
-        domain=st.integers(min_value=1, max_value=500),
+        span=st.sampled_from([1, 7, 500, 2**40]),
         seed=st.integers(min_value=0, max_value=2**16),
-        dense_limit=st.sampled_from([1, 4, 2048]),
     )
-    def test_storages_agree_with_brute_force(self, n, m, k, domain, seed, dense_limit):
+    def test_routes_agree_with_brute_force(self, n, m, k, span, seed):
         rng = np.random.default_rng(seed)
-        X = rng.integers(0, domain, size=(n, m))
+        X = rng.integers(0, span, size=(n, m))
         labels = rng.integers(0, k, size=n)
-        fallback = rng.integers(0, domain, size=(k, m))
+        fallback = rng.integers(0, span, size=(k, m))
 
-        dense = ClusterModeTracker(k, m, storage="dense")
-        dense.add_batch(X, labels)
-        dict_ = ClusterModeTracker(k, m, storage="dict")
-        for row, cluster in zip(X, labels):
-            dict_.add(row, int(cluster))
-        auto = ClusterModeTracker(k, m, dense_limit=dense_limit)
+        built = ClusterModeTracker.from_assignment(X, labels, k)
+        # a code span this wide cannot fit a dense tensor at any k·m
+        assert built.storage == ("sorted" if span == 2**40 and n else "dense")
+        batched = ClusterModeTracker(k, m)
         half = n // 2
-        auto.add_batch(X[:half], labels[:half])
-        auto.add_batch(X[half:], labels[half:])
+        batched.add_batch(X[:half], labels[:half])
+        batched.add_batch(X[half:], labels[half:])
+        single = ClusterModeTracker(k, m, n_categories=span)
+        for row, cluster in zip(X, labels):
+            single.add(row, int(cluster))
 
-        expected = fallback.copy()
-        for cluster in range(k):
-            members = X[labels == cluster]
-            if len(members) == 0:
-                continue
-            for j in range(m):
-                values, counts = np.unique(members[:, j], return_counts=True)
-                expected[cluster, j] = min(zip(-counts, values))[1]
-
-        for tracker in (dense, dict_, auto):
+        expected = _brute_modes(X, labels, k, fallback)
+        for tracker in (built, batched, single):
             assert np.array_equal(tracker.modes(fallback), expected)
             for cluster in range(k):
                 assert np.array_equal(
@@ -289,39 +294,54 @@ class TestTrackerConformance:
                 labels, minlength=k
             ).tolist()
 
-    def test_auto_converts_to_dict_beyond_limit(self):
-        tracker = ClusterModeTracker(2, 2, dense_limit=8)
+    def test_dense_route_moves_to_sorted_beyond_the_budget(self):
+        tracker = ClusterModeTracker(2, 2)
         assert tracker.storage == "dense"
         tracker.add(np.array([3, 5]), 0)
-        tracker.add(np.array([1000, 1000]), 1)  # outgrows the limit
-        assert tracker.storage == "dict"
+        tracker.add_batch(np.array([[3, 5]]), np.array([0]))
+        tracker.add(np.array([10**9, 10**9]), 1)  # outgrows the budget
         fallback = np.zeros((2, 2), dtype=np.int64)
         assert tracker.modes(fallback)[0].tolist() == [3, 5]
-        assert tracker.modes(fallback)[1].tolist() == [1000, 1000]
+        assert tracker.storage == "sorted"
+        assert tracker.modes(fallback)[1].tolist() == [10**9, 10**9]
+        assert tracker.cluster_sizes.tolist() == [2, 1]
 
-    def test_dense_storage_grows_within_limit(self):
-        tracker = ClusterModeTracker(2, 2, n_categories=4, dense_limit=2048)
-        tracker.add(np.array([900, 2]), 0)
+    def test_dense_route_grows_within_the_budget(self):
+        tracker = ClusterModeTracker(2, 2, n_categories=4)
+        tracker.add_batch(np.array([[900, 2], [1, 2]]), np.array([0, 1]))
         assert tracker.storage == "dense"
         assert tracker.mode_of(0, np.zeros(2, dtype=np.int64)).tolist() == [900, 2]
+
+    def test_negative_codes_move_to_sorted(self):
+        tracker = ClusterModeTracker.from_assignment(
+            np.array([[1, 1], [1, 2]]), np.array([0, 0]), 1
+        )
+        assert tracker.storage == "dense"
+        tracker.add_batch(np.array([[-5, 2], [-5, -5], [-5, 3]]), np.zeros(3, int))
+        assert tracker.storage == "sorted"
+        assert tracker.modes(np.zeros((1, 2), int)).tolist() == [[-5, 2]]
+        built = ClusterModeTracker.from_assignment(
+            np.array([[-5, 40], [-5, 41], [1, 41]]), np.zeros(3, int), 1
+        )
+        assert built.modes(np.zeros((1, 2), int)).tolist() == [[-5, 41]]
 
 
 class TestTrackerEdgeCases:
     def test_huge_codes_do_not_overflow_the_batch_encoding(self):
-        # (cluster, attribute, value) triple encoding would wrap int64
-        # for 64-bit-hash-sized codes; the dict path must fall back to
-        # row-by-row counting with identical results.
-        tracker = ClusterModeTracker(800, 60, storage="dict")
+        # (cluster, attribute, value) keys would wrap int64 for
+        # 64-bit-hash-sized codes; the sorted route must rank them instead.
+        tracker = ClusterModeTracker(800, 60)
         X = np.array([[2**62] * 60, [5] * 60, [5] * 60], dtype=np.int64)
         labels = np.array([799, 799, 799])
         tracker.add_batch(X, labels)
-        reference = ClusterModeTracker(800, 60, storage="dict")
+        reference = ClusterModeTracker(800, 60)
         for row, cluster in zip(X, labels):
             reference.add(row, int(cluster))
         fallback = np.zeros((800, 60), dtype=np.int64)
         assert np.array_equal(tracker.modes(fallback), reference.modes(fallback))
         assert tracker.mode_of(799, fallback[799]).tolist() == [5] * 60
         assert tracker.cluster_sizes[799] == 3
+        assert tracker.storage == "sorted"
 
     def test_add_rejects_wrong_width_items(self):
         from repro.exceptions import DataValidationError
