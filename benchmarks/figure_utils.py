@@ -10,6 +10,7 @@ from benchmarks.conftest import (
     get_dataset,
     write_result,
 )
+from repro.api import LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.experiments.configs import SyntheticConfig, VariantSpec, YahooConfig
 from repro.experiments.report import render_comparison_summary, render_series_table
@@ -38,10 +39,8 @@ def fit_variant(config, variant: VariantSpec):
     else:
         model = MHKModes(
             n_clusters=k,
-            bands=variant.bands,
-            rows=variant.rows,
-            max_iter=config.max_iter,
-            seed=config.seed,
+            lsh=LSHSpec(bands=variant.bands, rows=variant.rows, seed=config.seed),
+            train=TrainSpec(max_iter=config.max_iter),
             absent_code=absent,
         )
         model.fit(dataset.X, initial_centroids=init)

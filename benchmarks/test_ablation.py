@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import get_dataset, write_result
+from repro.api import LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.experiments.report import format_table
 from repro.metrics.purity import cluster_purity
@@ -21,13 +22,15 @@ from repro.metrics.purity import cluster_purity
 K_FIG9 = 300
 
 
-def _fit(**kwargs):
+def _fit(update_refs=None, precompute_neighbours=True):
     dataset = get_dataset("fig9")
-    defaults = dict(
-        n_clusters=K_FIG9, bands=10, rows=1, max_iter=6, seed=0, absent_code=0
+    model = MHKModes(
+        n_clusters=K_FIG9,
+        lsh=LSHSpec(bands=10, rows=1, seed=0),
+        train=TrainSpec(max_iter=6, update_refs=update_refs),
+        absent_code=0,
+        precompute_neighbours=precompute_neighbours,
     )
-    defaults.update(kwargs)
-    model = MHKModes(**defaults)
     model.fit(dataset.X)
     return model, dataset
 
@@ -37,7 +40,10 @@ class TestPresenceFiltering:
         """Without the absent-value filter, shared absences flood MinHash."""
         filtered, dataset = benchmark.pedantic(_fit, rounds=1, iterations=1)
         unfiltered = MHKModes(
-            n_clusters=K_FIG9, bands=10, rows=1, max_iter=6, seed=0, absent_code=None
+            n_clusters=K_FIG9,
+            lsh=LSHSpec(bands=10, rows=1, seed=0),
+            train=TrainSpec(max_iter=6),
+            absent_code=None,
         ).fit(dataset.X)
         filtered_purity = cluster_purity(filtered.labels_, dataset.labels)
         unfiltered_purity = cluster_purity(unfiltered.labels_, dataset.labels)
@@ -96,8 +102,11 @@ class TestNeighbourPrecompute:
             _fit, kwargs={"precompute_neighbours": True}, rounds=1, iterations=1
         )
         without = MHKModes(
-            n_clusters=K_FIG9, bands=10, rows=1, max_iter=6, seed=0,
-            absent_code=0, precompute_neighbours=False,
+            n_clusters=K_FIG9,
+            lsh=LSHSpec(bands=10, rows=1, seed=0),
+            train=TrainSpec(max_iter=6),
+            absent_code=0,
+            precompute_neighbours=False,
         ).fit(dataset.X)
         # Identical clustering either way (it is a pure execution detail) —
         assert np.array_equal(with_pre.labels_, without.labels_)
@@ -128,7 +137,9 @@ class TestBandRowSweep:
 
         def run(bands, rows):
             return MHKModes(
-                n_clusters=800, bands=bands, rows=rows, max_iter=4, seed=0
+                n_clusters=800,
+                lsh=LSHSpec(bands=bands, rows=rows, seed=0),
+                train=TrainSpec(max_iter=4),
             ).fit(dataset.X)
 
         models = benchmark.pedantic(

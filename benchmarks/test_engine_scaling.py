@@ -39,6 +39,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_result
+from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
 
@@ -83,13 +84,9 @@ def _fit(workload, backend: str, n_jobs: int | None, per_item: bool):
     dataset, initial = workload
     model = MHKModes(
         n_clusters=N_CLUSTERS,
-        bands=20,
-        rows=5,
-        max_iter=MAX_ITER,
-        seed=SEED,
-        update_refs="batch",
-        backend=backend,
-        n_jobs=n_jobs,
+        lsh=LSHSpec(bands=20, rows=5, seed=SEED),
+        engine=EngineSpec(backend=backend, n_jobs=n_jobs),
+        train=TrainSpec(max_iter=MAX_ITER, update_refs="batch"),
     )
     if per_item:
         model._force_per_item_pass = True

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_result
+from repro.api import LSHSpec, TrainSpec
 from repro.experiments.report import format_table
 from repro.kmeans import KMeans, LSHKMeans, MiniBatchKMeans
 from repro.metrics.external import adjusted_rand_index
@@ -46,8 +47,9 @@ def _fit_exact():
 def _fit_lsh():
     X, _, init = _data()
     return LSHKMeans(
-        n_clusters=K, bands=16, rows=4, family="pstable", width=6.0,
-        max_iter=20, seed=SEED,
+        n_clusters=K,
+        lsh=LSHSpec(family="pstable", bands=16, rows=4, width=6.0, seed=SEED),
+        train=TrainSpec(max_iter=20),
     ).fit(X, initial_centroids=init)
 
 

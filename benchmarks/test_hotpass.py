@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import RESULTS_DIR
+from repro.api import LSHSpec, TrainSpec
 from repro.obs import capture_metrics
 from repro.core.mh_kmodes import MHKModes
 from repro.core.shortlist import ShortlistAccumulator, apply_fallback
@@ -58,11 +59,8 @@ def fitted():
     initial = dataset.X[rng.choice(N_ITEMS, size=N_CLUSTERS, replace=False)].copy()
     model = MHKModes(
         n_clusters=N_CLUSTERS,
-        bands=20,
-        rows=5,
-        max_iter=2,
-        seed=SEED,
-        update_refs="batch",
+        lsh=LSHSpec(bands=20, rows=5, seed=SEED),
+        train=TrainSpec(max_iter=2, update_refs="batch"),
     )
     model.fit(dataset.X, initial_centroids=initial)
     return model, dataset.X

@@ -9,11 +9,15 @@ serving deployment would ship.
 
 Estimators are configured through the spec API (``repro.api``): an
 ``LSHSpec`` describes the index declaratively and a ``TrainSpec`` the
-loop.  The pre-spec flat kwargs still work but are deprecated::
+loop.  A spec field passed as a flat keyword is a ``TypeError``::
 
     MHKModes(n_clusters=400, bands=20, rows=5, max_iter=15, seed=7)
-    # DeprecationWarning: MHKModes(bands=...) is deprecated; pass
-    #                     lsh=LSHSpec(bands=...) instead (see repro.api)
+    # TypeError: MHKModes.__init__() got an unexpected keyword argument 'bands'
+    MHKModes(
+        n_clusters=400,
+        lsh=LSHSpec(bands=20, rows=5, seed=7),
+        train=TrainSpec(max_iter=15),
+    )
 
 Run:  python examples/quickstart.py
 """

@@ -13,10 +13,11 @@ The declarative layer over the whole library:
   :func:`make_estimator`;
 * :mod:`repro.api.model` — the immutable fitted
   :class:`ClusterModel` artifact that serves ``predict`` without the
-  training estimator;
-* :mod:`repro.api.legacy` — the deprecation shim keeping the old flat
-  kwargs working (one :class:`DeprecationWarning` per legacy kwarg,
-  identical labels guaranteed).
+  training estimator.
+
+The LSH-accelerated estimators take their LSH, engine and training
+settings only as specs (or dicts of spec fields); a flat keyword such
+as ``bands=8`` is a ``TypeError``.
 
 Quick start::
 
@@ -33,7 +34,6 @@ Quick start::
     artifact.save("model")                   # npz + json sidecar
 """
 
-from repro.api.legacy import LEGACY_PARAMETER_MAP, resolve_specs
 from repro.api.model import ClusterModel
 from repro.api.protocol import EstimatorProtocol
 from repro.api.registry import (
@@ -80,6 +80,4 @@ __all__ = [
     "get_estimator_class",
     "available_estimators",
     "register_estimator",
-    "LEGACY_PARAMETER_MAP",
-    "resolve_specs",
 ]

@@ -185,12 +185,11 @@ class ClusterModel:
     def to_estimator(self):
         """A fitted estimator reconstructed from this artifact.
 
-        The estimator is built from the specs (no deprecation
-        warnings), its fitted arrays restored, and — when band keys
-        are present — the clustered index rebuilt in-process
-        regardless of the recorded backend: results are
-        backend-invariant and reconstructing a model should never fork
-        a worker pool as a side effect.
+        The estimator is built from the specs, its fitted arrays
+        restored, and — when band keys are present — the clustered
+        index rebuilt in-process regardless of the recorded backend:
+        results are backend-invariant and reconstructing a model
+        should never fork a worker pool as a side effect.
         """
         cls = get_estimator_class(self.algorithm)
         kwargs = dict(self.params)

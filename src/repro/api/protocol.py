@@ -53,7 +53,7 @@ class EstimatorProtocol:
 
     @classmethod
     def _param_names(cls) -> tuple[str, ...]:
-        """Constructor parameter names (excluding ``self`` and ``**legacy``)."""
+        """Constructor parameter names, without ``self``, ``*args`` or ``**kwargs``."""
         parameters = inspect.signature(cls.__init__).parameters
         return tuple(
             name
@@ -202,13 +202,11 @@ class EstimatorProtocol:
 class SpecAttributeSurface:
     """Read-only attribute views onto ``self.lsh``/``engine``/``train``.
 
-    The flat API exposed every knob as a same-named attribute
-    (``model.bands``, ``model.backend``, ...).  Spec-driven estimators
-    keep that read surface alive through this mixin, so downstream code
-    (and the engine, which reads ``model.bands``/``model.rows``) is
-    untouched by the redesign.  ``update_refs`` returns the raw spec
-    value (possibly ``None``); estimators that resolve it against the
-    backend override the property.
+    Every spec field reads as a same-named attribute (``model.bands``,
+    ``model.backend``, ...), which the engine and the index use
+    (``model.bands``/``model.rows``).  ``update_refs`` returns the raw
+    spec value (possibly ``None``); estimators that resolve it against
+    the backend override the property.
     """
 
     @property
@@ -232,11 +230,7 @@ class SpecAttributeSurface:
         return self.lsh.seed
 
     @property
-    def backend(self):
-        """The configured backend (an instance when one was provided)."""
-        instance = getattr(self, "_backend_instance", None)
-        if instance is not None:
-            return instance
+    def backend(self) -> str:
         return self.engine.backend
 
     @property

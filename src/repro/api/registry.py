@@ -86,7 +86,6 @@ def make_estimator(name: str, **params):
 
     ``params`` are forwarded to the class constructor — specs
     (``lsh=``, ``engine=``, ``train=``) and estimator-own parameters
-    alike.  Legacy flat kwargs work too (with the same deprecation
-    warnings as direct construction).
+    alike.
     """
     return get_estimator_class(name)(**params)

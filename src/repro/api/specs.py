@@ -130,8 +130,8 @@ class Spec:
     def __post_init__(self) -> None:
         # Normalise numpy scalars to their Python equivalents first:
         # values like np.int64 (the natural output of rng.integers or
-        # an np.arange sweep) were accepted by the pre-spec flat API
-        # and must keep working — and to_dict() must stay JSON-safe.
+        # an np.arange sweep) must work, and to_dict() must stay
+        # JSON-safe.
         for spec_field in fields(self):
             value = getattr(self, spec_field.name)
             if isinstance(value, np.bool_):
@@ -181,6 +181,33 @@ class Spec:
                 f"fields are {[f.name for f in fields(cls)]}"
             )
         return cls(**data)
+
+    @classmethod
+    def coerce(cls, value, name: str, default: "Spec | None" = None) -> "Spec":
+        """The constructor argument ``name`` as a ``cls`` spec.
+
+        ``None`` gives ``default`` (``cls()`` when none is given), a
+        dict goes through :meth:`from_dict`, and a ``cls`` instance
+        passes through; any other type raises
+        :class:`~repro.exceptions.ConfigurationError` naming ``name``.
+
+        >>> LSHSpec.coerce({"bands": 8}, "lsh")
+        LSHSpec(bands=8)
+        >>> LSHSpec.coerce("minhash", "lsh")  # doctest: +ELLIPSIS
+        Traceback (most recent call last):
+            ...
+        repro.exceptions.ConfigurationError: lsh must be a LSHSpec ..., got str
+        """
+        if value is None:
+            return cls() if default is None else default
+        if isinstance(value, dict):
+            return cls.from_dict(value)
+        if not isinstance(value, cls):
+            raise ConfigurationError(
+                f"{name} must be a {cls.__name__} (or a dict of its "
+                f"fields), got {type(value).__name__}"
+            )
+        return value
 
     def non_default_fields(self) -> dict:
         """Fields whose value differs from the dataclass default."""

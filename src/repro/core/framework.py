@@ -43,7 +43,6 @@ import abc
 import numpy as np
 
 from repro import kernels
-from repro.api.legacy import resolve_specs
 from repro.api.model import ClusterModel
 from repro.api.protocol import EstimatorProtocol, SpecAttributeSurface
 from repro.api.specs import LSH_FAMILIES, EngineSpec, LSHSpec, TrainSpec
@@ -71,10 +70,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
     """Template for centroid algorithms accelerated with a banded LSH index.
 
     Configuration is spec-driven (see :mod:`repro.api`): the three
-    frozen spec objects fully describe a fit, and the legacy flat
-    kwargs (``bands=``, ``backend=``, ...) keep working through a
-    deprecation shim that maps them onto the same specs — identical
-    labels either way.
+    frozen spec objects fully describe a fit.
 
     Parameters
     ----------
@@ -98,10 +94,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
     precompute_neighbours:
         Forwarded to :class:`~repro.lsh.index.ClusteredLSHIndex`
         (``False`` keeps the index insertable for streaming).
-    **legacy:
-        Deprecated flat kwargs, each mapped onto its spec field with a
-        :class:`DeprecationWarning`
-        (see :data:`repro.api.LEGACY_PARAMETER_MAP`).
 
     Attributes
     ----------
@@ -143,21 +135,10 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         engine: EngineSpec | dict | None = None,
         train: TrainSpec | dict | None = None,
         precompute_neighbours: bool = True,
-        **legacy,
     ):
-        lsh, engine, train, backend_instance = resolve_specs(
-            type(self).__name__,
-            lsh,
-            train=train,
-            engine=engine,
-            legacy=legacy,
-            lsh_default=self._default_lsh,
-            engine_default=self._default_engine,
-            train_default=self._default_train,
-            # user frame -> concrete __init__ -> this __init__ ->
-            # resolve_specs: one deeper than a direct call
-            stacklevel=4,
-        )
+        lsh = LSHSpec.coerce(lsh, "lsh", self._default_lsh)
+        engine = EngineSpec.coerce(engine, "engine", self._default_engine)
+        train = TrainSpec.coerce(train, "train", self._default_train)
         if n_clusters <= 0:
             raise ConfigurationError(f"n_clusters must be positive, got {n_clusters}")
         if lsh.family not in self._supported_families:
@@ -180,12 +161,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         self.lsh = lsh
         self.engine = engine
         self.train = train
-        self._backend_instance = backend_instance
-        parallel = (
-            backend_instance.is_parallel
-            if backend_instance is not None
-            else engine.backend != "serial"
-        )
+        parallel = engine.backend != "serial"
         if train.update_refs == "online" and parallel:
             raise ConfigurationError(
                 "update_refs='online' requires backend='serial'; parallel "
@@ -205,7 +181,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         self._stats: RunStats | None = None
         self._index: ClusteredLSHIndex | None = None
 
-    # -- legacy read surface: SpecAttributeSurface, with update_refs
+    # -- spec attribute views: SpecAttributeSurface, with update_refs
     # resolved against the backend --------------------------------------
 
     @property
@@ -244,8 +220,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
 
     def _make_engine(self) -> ClusteringEngine:
         """The engine executing this estimator's fit phases."""
-        if self._backend_instance is not None:
-            return ClusteringEngine(self._backend_instance)
         return resolve_engine(self.engine)
 
     # -- the fitted-model artifact --------------------------------------

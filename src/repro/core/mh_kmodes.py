@@ -68,10 +68,6 @@ class MHKModes(BaseLSHAcceleratedClustering):
         inferred from the data).
     precompute_neighbours:
         See :class:`~repro.core.framework.BaseLSHAcceleratedClustering`.
-    **legacy:
-        Deprecated flat kwargs (``bands=``, ``rows=``, ``init=``,
-        ``backend=``, ...), mapped onto the specs with a
-        :class:`DeprecationWarning`.
 
     Attributes
     ----------
@@ -102,7 +98,6 @@ class MHKModes(BaseLSHAcceleratedClustering):
         absent_code: int | None = None,
         domain_size: int | None = None,
         precompute_neighbours: bool = True,
-        **legacy,
     ):
         super().__init__(
             n_clusters,
@@ -110,7 +105,6 @@ class MHKModes(BaseLSHAcceleratedClustering):
             engine=engine,
             train=train,
             precompute_neighbours=precompute_neighbours,
-            **legacy,
         )
         resolve_init(self.init)
         self.absent_code = absent_code

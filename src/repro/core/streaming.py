@@ -50,7 +50,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.api.legacy import resolve_specs
 from repro.api.model import ClusterModel
 from repro.api.protocol import EstimatorProtocol, SpecAttributeSurface
 from repro.api.registry import register_estimator
@@ -400,10 +399,6 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         ``'error'`` — raise instead.  (:meth:`extend` raises *before*
         absorbing any item of the offending chunk segment, where the
         sequential loop would stop mid-stream.)
-    **legacy:
-        Deprecated flat kwargs (``bands=``, ``seed=``, ``backend=``,
-        ...), mapped onto the specs with a
-        :class:`DeprecationWarning`.
 
     Attributes
     ----------
@@ -446,31 +441,16 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         domain_size: int | None = None,
         refresh_interval: int = 200,
         stream_fallback: str = "full",
-        **legacy,
     ):
         # set_params re-runs __init__ on a live object: release any
         # worker pool the previous configuration had opened.
         existing_pool = getattr(self, "_stream_pool", None)
         if existing_pool is not None:
             existing_pool.close()
-        lsh, engine, train, backend_instance = resolve_specs(
-            type(self).__name__,
-            lsh,
-            engine,
-            train,
-            legacy,
-            lsh_default=self._default_lsh,
-            engine_default=self._default_engine,
-            train_default=self._default_train,
-        )
-        if isinstance(stream, dict):
-            stream = StreamSpec.from_dict(stream)
-        elif stream is None:
-            stream = self._default_stream
-        elif not isinstance(stream, StreamSpec):
-            raise ConfigurationError(
-                f"stream must be a StreamSpec, got {type(stream).__name__}"
-            )
+        lsh = LSHSpec.coerce(lsh, "lsh", self._default_lsh)
+        engine = EngineSpec.coerce(engine, "engine", self._default_engine)
+        train = TrainSpec.coerce(train, "train", self._default_train)
+        stream = StreamSpec.coerce(stream, "stream", self._default_stream)
         if n_clusters <= 0:
             raise ConfigurationError(f"n_clusters must be positive, got {n_clusters}")
         if lsh.family != "minhash":
@@ -491,7 +471,6 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         self.engine = engine
         self.train = train
         self.stream = stream
-        self._backend_instance = backend_instance
         self.absent_code = absent_code
         self.domain_size = domain_size
         self.refresh_interval = int(refresh_interval)
@@ -512,7 +491,7 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
             _EXTEND_PHASES, 0.0
         )
 
-    # legacy read surface (bands/rows/seed/backend/...) comes from
+    # The spec attribute views (bands/rows/seed/backend/...) come from
     # SpecAttributeSurface; update_refs stays the raw spec value here
     # because resolution happens inside the bootstrap fit.
 
@@ -573,8 +552,6 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
             domain_size=self.domain_size,
             precompute_neighbours=False,  # keeps the index insertable
         )
-        if self._backend_instance is not None:
-            model._backend_instance = self._backend_instance
         model.fit(X, initial_centroids=initial_centroids)
         assert model.labels_ is not None and model.centroids_ is not None
         assert model.index_ is not None

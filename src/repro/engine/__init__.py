@@ -17,11 +17,12 @@ shortlist assignment — across workers, behind one seam:
   fit-lifetime session runs those phases — including the vectorised
   batch assignment pass — on one worker pool per fit.
 
-Estimators expose it as ``backend=`` / ``n_jobs=`` parameters; the
-default ``backend='serial'`` reproduces the paper's online semantics
-byte for byte, while batch updates run a vectorised pass whose labels
-are identical across backends and chunkings.  Every backend builds the
-same :class:`~repro.lsh.index.ClusteredLSHIndex`.
+Estimators configure it through an :class:`~repro.api.EngineSpec`
+(``backend``, ``n_jobs``, ...); the default ``backend='serial'``
+reproduces the paper's online semantics byte for byte, while batch
+updates run a vectorised pass whose labels are identical across
+backends and chunkings.  Every backend builds the same
+:class:`~repro.lsh.index.ClusteredLSHIndex`.
 """
 
 from repro.engine.backends import (

@@ -46,7 +46,6 @@ from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.pool import PersistentPool
 from repro.engine.shared import SharedArray, resolve_array
-from repro.exceptions import ConfigurationError
 from repro.obs import span as trace_span
 from repro.obs import traced
 from repro.lsh.index import ClusteredLSHIndex, grouped_neighbour_csr
@@ -488,21 +487,6 @@ def backend_from_spec(spec) -> ExecutionBackend:
     return resolve_backend(spec.backend, spec.n_jobs)
 
 
-def resolve_engine(backend, n_jobs: int | None = None) -> ClusteringEngine:
-    """Build a :class:`ClusteringEngine` from estimator parameters.
-
-    ``backend`` may be an :class:`~repro.api.EngineSpec` (the spec
-    fully describes the engine; ``n_jobs`` must then stay unset), a
-    backend name, or a pre-built
-    :class:`~repro.engine.backends.ExecutionBackend`.
-    """
-    from repro.api.specs import EngineSpec
-
-    if isinstance(backend, EngineSpec):
-        if n_jobs is not None:
-            raise ConfigurationError(
-                "when resolving an EngineSpec, n_jobs comes from the "
-                "spec; do not pass it separately"
-            )
-        return ClusteringEngine(backend_from_spec(backend))
-    return ClusteringEngine(resolve_backend(backend, n_jobs))
+def resolve_engine(spec) -> ClusteringEngine:
+    """Build the :class:`ClusteringEngine` an ``EngineSpec`` describes."""
+    return ClusteringEngine(backend_from_spec(spec))

@@ -44,9 +44,6 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
         default spec).
     engine, train, precompute_neighbours:
         See :class:`~repro.core.framework.BaseLSHAcceleratedClustering`.
-    **legacy:
-        Deprecated flat kwargs (``bands=``, ``family=``, ``width=``,
-        ...), mapped onto the specs with a :class:`DeprecationWarning`.
 
     Examples
     --------
@@ -74,7 +71,6 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
         engine: EngineSpec | dict | None = None,
         train: TrainSpec | dict | None = None,
         precompute_neighbours: bool = True,
-        **legacy,
     ):
         super().__init__(
             n_clusters,
@@ -82,7 +78,6 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
             engine=engine,
             train=train,
             precompute_neighbours=precompute_neighbours,
-            **legacy,
         )
         hash_seed = (0 if self.seed is None else int(self.seed)) ^ 0x5EEDBEEF
         if self.family == "simhash":

@@ -115,7 +115,8 @@ class AdmissionQueue:
         gauge, wave histograms and rejection counters (``None``: no
         metrics).
     clock:
-        Injectable monotonic clock for deterministic tests.
+        Injectable monotonic clock for deterministic tests.  Deadlines
+        expire by this clock, not by the time a submitter has waited.
     """
 
     def __init__(
@@ -283,15 +284,19 @@ class AdmissionQueue:
             self._queue.append(pending)
             self._set_depth(len(self._queue))
             self._cond.notify()
-        timeout = None if deadline is None else max(0.0, deadline - self._clock())
-        if not pending.event.wait(timeout):
-            pending.abandoned = True
-            self._count_rejection("deadline")
-            raise DeadlineExceededError(
-                f"request missed its {deadline_s * 1000:.0f}ms deadline "
-                "(queue wait + execution); the result, if any, was "
-                "discarded"
-            )
+        # A timed-out wait expires the request only once the queue's
+        # clock has passed the deadline; until then it waits again.
+        while not pending.event.wait(
+            None if deadline is None else max(0.0, deadline - self._clock())
+        ):
+            if self._clock() >= deadline:
+                pending.abandoned = True
+                self._count_rejection("deadline")
+                raise DeadlineExceededError(
+                    f"request missed its {deadline_s * 1000:.0f}ms deadline "
+                    "(queue wait + execution); the result, if any, was "
+                    "discarded"
+                )
         if pending.error is not None:
             raise pending.error
         assert pending.labels is not None

@@ -132,14 +132,7 @@ class ModelServer:
                 f"{type(model).__name__}; export one with fitted_model() "
                 "or load one with load_cluster_model()"
             )
-        if isinstance(spec, dict):
-            spec = ServeSpec.from_dict(spec)
-        if spec is None:
-            spec = ServeSpec()
-        if not isinstance(spec, ServeSpec):
-            raise ConfigurationError(
-                f"spec must be a ServeSpec, got {type(spec).__name__}"
-            )
+        spec = ServeSpec.coerce(spec, "spec")
         self.model = model
         self.spec = spec
         if spec.allow_extend:

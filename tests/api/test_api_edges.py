@@ -106,26 +106,12 @@ class TestRegistryEdges:
         assert register_estimator("kmodes")(KModes) is KModes
 
 
-class TestLegacyEdges:
-    def test_spec_and_legacy_kwarg_conflict(self):
-        with pytest.raises(ConfigurationError, match="both"):
-            MHKModes(n_clusters=2, lsh=LSHSpec(bands=4, rows=1), bands=8)
-
+class TestConstructorEdges:
     def test_non_spec_value_rejected(self):
         with pytest.raises(ConfigurationError, match="LSHSpec"):
             MHKModes(n_clusters=2, lsh="minhash")
 
-    def test_backend_instance_type_checked(self):
-        with pytest.raises(ConfigurationError, match="ExecutionBackend"):
-            MHKModes(n_clusters=2, backend=42)
-
-    def test_backend_instance_n_jobs_conflict(self):
-        from repro.engine import ThreadBackend
-
-        with pytest.raises(ConfigurationError, match="n_jobs"):
-            MHKModes(n_clusters=2, backend=ThreadBackend(n_jobs=2), n_jobs=4)
-
-    def test_unknown_legacy_kwarg_rejected(self):
+    def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError):
             MHKModes(n_clusters=2, verbosity=3)
 

@@ -3,11 +3,13 @@
 Every estimator in the registry must honour the shared protocol:
 ``get_params`` → ``set_params`` → ``clone`` round-trips, uniform
 ``NotFittedError`` on pre-fit access, construction through
-``make_estimator``, and — for spec-accepting estimators — the legacy
-flat kwargs must produce *identical labels* to the equivalent specs
-while warning exactly once per legacy kwarg.
+``make_estimator``, and — for spec-accepting estimators — construction
+from specs only: a spec field passed as a flat kwarg is a ``TypeError``,
+a spec argument of the wrong type a ``ConfigurationError`` naming it,
+and a dict of spec fields builds the same estimator as the spec.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,12 +18,14 @@ import pytest
 from repro.api import (
     EngineSpec,
     LSHSpec,
+    StreamSpec,
     TrainSpec,
     available_estimators,
     get_estimator_class,
     make_estimator,
 )
 from repro.data.datgen import RuleBasedGenerator
+from repro.engine import ThreadBackend
 from repro.exceptions import ConfigurationError, NotFittedError
 
 ALL_ESTIMATORS = sorted(available_estimators())
@@ -161,123 +165,87 @@ class TestProtocolConformance:
             assert np.array_equal(clone.labels_, estimator.labels_)
 
 
-LEGACY_EQUIVALENTS = {
-    "mh-kmodes": (
-        {"bands": 8, "rows": 2, "seed": 3, "max_iter": 10},
-        {
-            "lsh": LSHSpec(bands=8, rows=2, seed=3),
-            "train": TrainSpec(max_iter=10),
-        },
-    ),
-    "lsh-kmeans": (
-        {"family": "pstable", "width": 2.0, "bands": 8, "rows": 2, "seed": 3},
-        {"lsh": LSHSpec(family="pstable", width=2.0, bands=8, rows=2, seed=3)},
-    ),
-    "streaming-mh-kmodes": (
-        {"bands": 8, "rows": 2, "seed": 3, "update_refs": "batch"},
-        {
-            "lsh": LSHSpec(bands=8, rows=2, seed=3),
-            "train": TrainSpec(update_refs="batch"),
-        },
-    ),
+SPECS = {
+    "mh-kmodes": {
+        "lsh": LSHSpec(bands=8, rows=2, seed=3),
+        "train": TrainSpec(max_iter=10),
+    },
+    "lsh-kmeans": {
+        "lsh": LSHSpec(family="pstable", width=2.0, bands=8, rows=2, seed=3)
+    },
+    "streaming-mh-kmodes": {
+        "lsh": LSHSpec(bands=8, rows=2, seed=3),
+        "train": TrainSpec(update_refs="batch"),
+        "stream": StreamSpec(chunk_items=64),
+    },
+}
+
+#: Every LSHSpec, EngineSpec and TrainSpec field, with its default: the
+#: settings the spec-driven estimators take only through their specs.
+SPEC_FIELDS = [
+    (field.name, field.default)
+    for spec in (LSHSpec, EngineSpec, TrainSpec)
+    for field in dataclasses.fields(spec)
+]
+
+#: Each spec argument of the spec-driven estimators, with its class.
+SPEC_ARGUMENTS = {
+    "mh-kmodes": {"lsh": LSHSpec, "engine": EngineSpec, "train": TrainSpec},
+    "lsh-kmeans": {"lsh": LSHSpec, "engine": EngineSpec, "train": TrainSpec},
+    "streaming-mh-kmodes": {
+        "lsh": LSHSpec,
+        "engine": EngineSpec,
+        "train": TrainSpec,
+        "stream": StreamSpec,
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_DRIVEN))
-class TestLegacyKwargEquivalence:
-    def test_deprecation_warning_once_per_legacy_kwarg(self, name):
-        legacy, _ = LEGACY_EQUIVALENTS[name]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_estimator(name, n_clusters=K, **legacy)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == len(legacy)
-        for kwarg in legacy:
-            matching = [
-                w for w in deprecations if f"({kwarg}=...)" in str(w.message)
-            ]
-            assert len(matching) == 1, f"expected one warning for {kwarg}="
+class TestSpecOnlyConstruction:
+    @pytest.mark.parametrize(
+        "field, value", SPEC_FIELDS, ids=[field for field, _ in SPEC_FIELDS]
+    )
+    def test_flat_spec_field_kwarg_raises_type_error(self, name, field, value):
+        with pytest.raises(TypeError, match=field):
+            make_estimator(name, n_clusters=K, **{field: value})
 
     def test_spec_construction_does_not_warn(self, name):
-        _, specs = LEGACY_EQUIVALENTS[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            make_estimator(name, n_clusters=K, **specs)
+            make_estimator(name, n_clusters=K, **SPECS[name])
 
-    def test_identical_labels_legacy_vs_spec(self, name, data):
-        legacy_kwargs, specs = LEGACY_EQUIVALENTS[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = make_estimator(name, n_clusters=K, **legacy_kwargs)
+    def test_wrong_spec_type_names_the_argument(self, name):
+        # a backend instance, say, reaches no spec argument
+        backend = ThreadBackend(n_jobs=2)
+        for argument, spec_class in SPEC_ARGUMENTS[name].items():
+            with pytest.raises(
+                ConfigurationError,
+                match=f"^{argument} must be a {spec_class.__name__} ",
+            ):
+                make_estimator(name, n_clusters=K, **{argument: backend})
+
+    def test_dict_specs_build_the_same_estimator(self, name):
+        specs = SPECS[name]
+        via_dicts = make_estimator(
+            name,
+            n_clusters=K,
+            **{argument: spec.to_dict() for argument, spec in specs.items()},
+        )
         via_specs = make_estimator(name, n_clusters=K, **specs)
-        assert via_legacy.get_params() == via_specs.get_params()
-        fit(via_legacy, name, data)
-        fit(via_specs, name, data)
-        if name == "streaming-mh-kmodes":
-            assert np.array_equal(via_legacy.modes_, via_specs.modes_)
-        else:
-            assert np.array_equal(via_legacy.labels_, via_specs.labels_)
-
-    def test_spec_plus_conflicting_legacy_kwarg_rejected(self, name):
-        with pytest.raises(ConfigurationError):
-            make_estimator(
-                name, n_clusters=K, lsh=LSHSpec(bands=8, rows=2), bands=9
-            )
+        assert via_dicts.get_params() == via_specs.get_params()
 
     def test_unknown_kwarg_rejected(self, name):
         with pytest.raises(TypeError):
             make_estimator(name, n_clusters=K, bandz=8)
 
     def test_numpy_scalar_kwargs_accepted(self, name):
-        # rng.integers / np.arange sweeps produce numpy scalars; both
-        # construction paths accept and normalise them (the flat API did)
+        # rng.integers / np.arange sweeps produce numpy scalars; the
+        # specs accept and normalise them
         base_spec = EXTRA_PARAMS[name]["lsh"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = make_estimator(
-                name,
-                n_clusters=K,
-                family=base_spec.family,
-                bands=np.int64(8),
-                rows=np.int64(2),
-            )
-        spec = make_estimator(
+        estimator = make_estimator(
             name,
             n_clusters=K,
             lsh=base_spec.replace(bands=np.int64(8), rows=np.int64(2)),
         )
-        for estimator in (legacy, spec):
-            assert estimator.bands == 8 and type(estimator.bands) is int
-
-    def test_prebuilt_backend_instance_not_deprecated(self, name):
-        # sharing one worker pool across fits is a supported feature
-        # with no spec equivalent (a spec cannot hold a live pool)
-        from repro.engine import ThreadBackend
-
-        backend = ThreadBackend(n_jobs=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            estimator = make_estimator(name, n_clusters=K, backend=backend)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert estimator.backend is backend
-        assert estimator.engine.backend == "thread"
-        assert estimator.engine.n_jobs == 2
-
-    def test_legacy_warning_attributed_to_caller(self, name):
-        # default Python filters only show DeprecationWarnings blamed on
-        # the caller's file; the shim must skip the library frames
-        # (direct construction here — on 3.12+ skip_file_prefixes also
-        # covers deeper paths such as make_estimator)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            get_estimator_class(name)(n_clusters=K, bands=8)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations and all(
-            w.filename == __file__ for w in deprecations
-        ), [w.filename for w in deprecations]
+        assert estimator.bands == 8 and type(estimator.bands) is int

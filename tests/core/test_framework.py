@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import LSHSpec
+from repro.api import LSHSpec, TrainSpec
 from repro.core.framework import BaseLSHAcceleratedClustering
 from repro.exceptions import ConfigurationError
 from repro.lsh.minhash import MinHasher
@@ -90,13 +90,21 @@ class TestFrameworkLoop:
         # made earlier in the same pass; we verify indirectly: the run
         # converges and the index's final refs equal the final labels.
         model = TinyMHKModes(
-            n_clusters=4, bands=16, rows=1, seed=0, update_refs="online"
+            n_clusters=4,
+            bands=16,
+            rows=1,
+            seed=0,
+            train=TrainSpec(update_refs="online"),
         ).fit(X)
         assert np.array_equal(model.index_.assignments, model.labels_)
 
     def test_batch_refs_synchronised_after_pass(self, X):
         model = TinyMHKModes(
-            n_clusters=4, bands=16, rows=1, seed=0, update_refs="batch"
+            n_clusters=4,
+            bands=16,
+            rows=1,
+            seed=0,
+            train=TrainSpec(update_refs="batch"),
         ).fit(X)
         assert np.array_equal(model.index_.assignments, model.labels_)
 
@@ -107,12 +115,18 @@ class TestFrameworkLoop:
         assert all(1.0 <= s <= 4.0 for s in sizes)
 
     def test_stop_on_max_iter(self, X):
-        model = TinyMHKModes(n_clusters=4, bands=16, rows=1, seed=0, max_iter=1).fit(X)
+        model = TinyMHKModes(
+            n_clusters=4, bands=16, rows=1, seed=0, train=TrainSpec(max_iter=1)
+        ).fit(X)
         assert model.n_iter_ == 1
 
     def test_track_cost_off(self, X):
         model = TinyMHKModes(
-            n_clusters=4, bands=16, rows=1, seed=0, track_cost=False
+            n_clusters=4,
+            bands=16,
+            rows=1,
+            seed=0,
+            train=TrainSpec(track_cost=False),
         ).fit(X)
         assert all(np.isnan(c) for c in model.stats_.costs)
 
@@ -120,11 +134,11 @@ class TestFrameworkLoop:
         with pytest.raises(ConfigurationError):
             TinyMHKModes(n_clusters=0)
         with pytest.raises(ConfigurationError):
-            TinyMHKModes(n_clusters=2, max_iter=0)
+            TinyMHKModes(n_clusters=2, train={"max_iter": 0})
         with pytest.raises(ConfigurationError):
-            TinyMHKModes(n_clusters=2, update_refs="never")
+            TinyMHKModes(n_clusters=2, train={"update_refs": "never"})
         with pytest.raises(ConfigurationError):
-            TinyMHKModes(n_clusters=2, predict_fallback="nope")
+            TinyMHKModes(n_clusters=2, train={"predict_fallback": "nope"})
 
     def test_repr_mentions_parameters(self):
         text = repr(TinyMHKModes(n_clusters=3, bands=16, rows=1, seed=1))

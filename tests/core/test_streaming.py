@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import LSHSpec
 from repro.core.streaming import ClusterModeTracker, StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
@@ -67,13 +68,13 @@ class TestClusterModeTracker:
 
 class TestStreamingMHKModes:
     def test_requires_bootstrap(self):
-        stream = StreamingMHKModes(n_clusters=3, bands=4, rows=1, seed=0)
+        stream = StreamingMHKModes(n_clusters=3, lsh=LSHSpec(bands=4, rows=1, seed=0))
         with pytest.raises(NotFittedError):
             stream.push(np.array([1, 2, 3]))
 
     def test_bootstrap_then_stream(self, stream_data):
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=20, rows=2, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=20, rows=2, seed=0))
         stream.bootstrap(data.X[:split])
         labels = stream.extend(data.X[split:])
         assert labels.shape == (data.n_items - split,)
@@ -84,7 +85,7 @@ class TestStreamingMHKModes:
         # Streamed items should join the right planted clusters almost
         # as reliably as bootstrap items did.
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=20, rows=2, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=20, rows=2, seed=0))
         stream.bootstrap(data.X[:split])
         streamed_labels = stream.extend(data.X[split:])
         purity = cluster_purity(streamed_labels, data.labels[split:])
@@ -92,7 +93,7 @@ class TestStreamingMHKModes:
 
     def test_streamed_items_become_visible_to_queries(self, stream_data):
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=20, rows=2, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=20, rows=2, seed=0))
         stream.bootstrap(data.X[:split])
         first_label = stream.push(data.X[split])
         # Pushing the identical item again must find the first copy's
@@ -103,7 +104,9 @@ class TestStreamingMHKModes:
     def test_mode_refresh_interval(self, stream_data):
         data, split = stream_data
         stream = StreamingMHKModes(
-            n_clusters=12, bands=20, rows=2, seed=0, refresh_interval=10
+            n_clusters=12,
+            lsh=LSHSpec(bands=20, rows=2, seed=0),
+            refresh_interval=10,
         )
         stream.bootstrap(data.X[:split])
         before = stream.modes_.copy()
@@ -115,7 +118,7 @@ class TestStreamingMHKModes:
 
     def test_cluster_sizes_accumulate(self, stream_data):
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=20, rows=2, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=20, rows=2, seed=0))
         stream.bootstrap(data.X[:split])
         stream.extend(data.X[split:])
         assert stream.cluster_sizes_.sum() == data.n_items
@@ -123,7 +126,9 @@ class TestStreamingMHKModes:
     def test_fallback_error_policy(self, stream_data):
         data, split = stream_data
         stream = StreamingMHKModes(
-            n_clusters=12, bands=4, rows=5, seed=0, stream_fallback="error"
+            n_clusters=12,
+            lsh=LSHSpec(bands=4, rows=5, seed=0),
+            stream_fallback="error",
         )
         stream.bootstrap(data.X[:split])
         alien = np.full(data.n_attributes, 1, dtype=np.int64)
@@ -133,7 +138,9 @@ class TestStreamingMHKModes:
     def test_fallback_full_policy_counts(self, stream_data):
         data, split = stream_data
         stream = StreamingMHKModes(
-            n_clusters=12, bands=4, rows=5, seed=0, stream_fallback="full"
+            n_clusters=12,
+            lsh=LSHSpec(bands=4, rows=5, seed=0),
+            stream_fallback="full",
         )
         stream.bootstrap(data.X[:split])
         alien = np.full(data.n_attributes, 1, dtype=np.int64)
@@ -143,7 +150,7 @@ class TestStreamingMHKModes:
 
     def test_push_validates_shape(self, stream_data):
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=8, rows=1, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=8, rows=1, seed=0))
         stream.bootstrap(data.X[:split])
         with pytest.raises(DataValidationError):
             stream.push(np.array([1, 2]))
@@ -183,10 +190,14 @@ class TestBatchExtendPipeline:
         # extend segmentation
         data, split = stream_data
         ref = StreamingMHKModes(
-            n_clusters=12, bands=20, rows=2, seed=0, refresh_interval=7
+            n_clusters=12,
+            lsh=LSHSpec(bands=20, rows=2, seed=0),
+            refresh_interval=7,
         ).bootstrap(data.X[:split])
         mixed = StreamingMHKModes(
-            n_clusters=12, bands=20, rows=2, seed=0, refresh_interval=7
+            n_clusters=12,
+            lsh=LSHSpec(bands=20, rows=2, seed=0),
+            refresh_interval=7,
         ).bootstrap(data.X[:split])
         ref_labels = np.array([ref.push(row) for row in data.X[split:]])
         head = [mixed.push(row) for row in data.X[split : split + 5]]
@@ -197,7 +208,7 @@ class TestBatchExtendPipeline:
 
     def test_extend_records_phase_timings(self, stream_data):
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=20, rows=2, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=20, rows=2, seed=0))
         stream.bootstrap(data.X[:split])
         stream.extend(data.X[split:])
         stats = stream.extend_stats_
@@ -208,7 +219,7 @@ class TestBatchExtendPipeline:
 
     def test_extend_validates_input(self, stream_data):
         data, split = stream_data
-        stream = StreamingMHKModes(n_clusters=12, bands=8, rows=1, seed=0)
+        stream = StreamingMHKModes(n_clusters=12, lsh=LSHSpec(bands=8, rows=1, seed=0))
         stream.bootstrap(data.X[:split])
         with pytest.raises(DataValidationError):
             stream.extend(data.X[split])  # 1-D
@@ -222,7 +233,9 @@ class TestBatchExtendPipeline:
     ):
         data, split = stream_data
         stream = StreamingMHKModes(
-            n_clusters=12, bands=4, rows=5, seed=0, stream_fallback="error"
+            n_clusters=12,
+            lsh=LSHSpec(bands=4, rows=5, seed=0),
+            stream_fallback="error",
         )
         stream.bootstrap(data.X[:split])
         seen_before = stream.n_seen_
@@ -238,9 +251,7 @@ class TestBatchExtendPipeline:
         data, split = stream_data
         with StreamingMHKModes(
             n_clusters=12,
-            bands=8,
-            rows=1,
-            seed=0,
+            lsh=LSHSpec(bands=8, rows=1, seed=0),
             stream=StreamSpec(backend="thread", n_jobs=2, chunk_items=16),
         ) as stream:
             stream.bootstrap(data.X[:split])
@@ -258,9 +269,7 @@ class TestBatchExtendPipeline:
         data, split = stream_data
         stream = StreamingMHKModes(
             n_clusters=12,
-            bands=8,
-            rows=1,
-            seed=0,
+            lsh=LSHSpec(bands=8, rows=1, seed=0),
             stream=StreamSpec(backend="thread", n_jobs=2),
         )
         stream.bootstrap(data.X[:split])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.data.io import load_cluster_model, load_model, save_model
@@ -29,7 +30,10 @@ def novel():
 
 class TestMHKModesRoundTrip:
     def test_arrays_and_scalars_survive(self, categorical, tmp_path):
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         loaded = load_model(save_model(model, tmp_path / "model"))
         assert np.array_equal(loaded.labels_, model.labels_)
         assert np.array_equal(loaded.centroids_, model.centroids_)
@@ -39,8 +43,10 @@ class TestMHKModesRoundTrip:
 
     def test_constructor_params_survive(self, categorical, tmp_path):
         model = MHKModes(
-            n_clusters=8, bands=10, rows=3, seed=7, absent_code=0,
-            update_refs="batch", max_iter=17,
+            n_clusters=8,
+            lsh=LSHSpec(bands=10, rows=3, seed=7),
+            train=TrainSpec(max_iter=17, update_refs="batch"),
+            absent_code=0,
         ).fit(categorical.X)
         loaded = load_model(save_model(model, tmp_path / "model"))
         assert (loaded.bands, loaded.rows, loaded.max_iter) == (10, 3, 17)
@@ -49,14 +55,20 @@ class TestMHKModesRoundTrip:
         assert loaded.seed == 7
 
     def test_predict_identical_after_reload(self, categorical, novel, tmp_path):
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         loaded = load_model(save_model(model, tmp_path / "model"))
         assert np.array_equal(loaded.predict(novel.X), model.predict(novel.X))
 
     def test_neighbour_csr_survives_reload(self, categorical, tmp_path):
         # band keys fully determine the flat CSR neighbour storage, so
         # the reloaded index must reproduce it array for array
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         loaded = load_model(save_model(model, tmp_path / "model"))
         original = model.index_.neighbour_csr()
         rebuilt = loaded.index_.neighbour_csr()
@@ -71,8 +83,9 @@ class TestMHKModesRoundTrip:
         # an "n_shards" entry; it never changed a label, so loading
         # drops it and predicts bit-identically.
         model = MHKModes(
-            n_clusters=8, bands=8, rows=2, seed=7,
-            backend="thread", n_jobs=2,
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+            engine=EngineSpec(backend="thread", n_jobs=2),
         ).fit(categorical.X)
         path = save_model(model, tmp_path / "old")
         sidecar_path = path.with_suffix(".json")
@@ -86,7 +99,10 @@ class TestMHKModesRoundTrip:
         assert np.array_equal(loaded.predict(novel.X), model.predict(novel.X))
 
     def test_sidecar_is_human_readable(self, categorical, tmp_path):
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         path = save_model(model, tmp_path / "model")
         sidecar = json.loads(path.with_suffix(".json").read_text())
         assert sidecar["kind"] == "repro.Model"
@@ -101,7 +117,9 @@ class TestOtherEstimators:
     def test_lsh_kmeans_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(4 * c, 0.5, (40, 5)) for c in range(4)])
-        model = LSHKMeans(n_clusters=4, bands=8, rows=2, seed=1).fit(X)
+        model = LSHKMeans(
+            n_clusters=4, lsh=LSHSpec(family="pstable", bands=8, rows=2, seed=1)
+        ).fit(X)
         loaded = load_model(save_model(model, tmp_path / "kmeans"))
         assert np.array_equal(loaded.centroids_, model.centroids_)
         assert loaded.family == model.family
@@ -122,7 +140,10 @@ class TestServeSpecSidecar:
         from repro.api import ServeSpec
         from repro.data.io import load_cluster_model, load_serve_spec
 
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         spec = ServeSpec(backend="thread", n_jobs=2, chunk_items=64, max_batch=128)
         path = save_model(model, tmp_path / "with_serve", serve=spec)
         sidecar = json.loads(path.with_suffix(".json").read_text())
@@ -135,7 +156,10 @@ class TestServeSpecSidecar:
     def test_serve_accepts_dict_and_validates(self, categorical, tmp_path):
         from repro.data.io import load_serve_spec
 
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         path = save_model(
             model, tmp_path / "dict_serve", serve={"backend": "thread"}
         )
@@ -146,7 +170,10 @@ class TestServeSpecSidecar:
     def test_load_serve_spec_none_without_section(self, categorical, tmp_path):
         from repro.data.io import load_serve_spec
 
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         assert load_serve_spec(save_model(model, tmp_path / "plain")) is None
 
     def test_load_serve_spec_missing_sidecar_rejected(self, tmp_path):
@@ -159,7 +186,8 @@ class TestServeSpecSidecar:
 class TestValidation:
     def test_unfitted_model_rejected(self, tmp_path):
         with pytest.raises(NotFittedError):
-            save_model(MHKModes(n_clusters=3, bands=4, rows=1), tmp_path / "m")
+            model = MHKModes(n_clusters=3, lsh=LSHSpec(bands=4, rows=1))
+            save_model(model, tmp_path / "m")
 
     def test_unsupported_class_rejected(self, tmp_path):
         with pytest.raises(DataValidationError):
@@ -170,21 +198,30 @@ class TestValidation:
             load_model(tmp_path / "absent")
 
     def test_missing_sidecar_rejected(self, categorical, tmp_path):
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         path = save_model(model, tmp_path / "model")
         path.with_suffix(".json").unlink()
         with pytest.raises(DataValidationError):
             load_model(path)
 
     def test_wrong_sidecar_kind_rejected(self, categorical, tmp_path):
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         path = save_model(model, tmp_path / "model")
         path.with_suffix(".json").write_text(json.dumps({"kind": "other"}))
         with pytest.raises(DataValidationError):
             load_model(path)
 
     def test_future_format_version_rejected(self, categorical, tmp_path):
-        model = MHKModes(n_clusters=8, bands=8, rows=2, seed=7).fit(categorical.X)
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
         path = save_model(model, tmp_path / "model")
         sidecar_path = path.with_suffix(".json")
         sidecar = json.loads(sidecar_path.read_text())

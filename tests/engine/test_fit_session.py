@@ -20,12 +20,14 @@ from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.engine import (
+    ClusteringEngine,
     ProcessBackend,
     SerialBackend,
     SharedArray,
     ThreadBackend,
     resolve_array,
 )
+from repro.engine.parallel import backend_from_spec
 
 
 @pytest.fixture(scope="module")
@@ -39,52 +41,66 @@ def workload():
     return data.X, initial
 
 
-def _fit(X, initial, backend, **overrides):
+def _fit(X, initial, engine=EngineSpec()):
     model = MHKModes(
         n_clusters=8,
-        bands=8,
-        rows=2,
-        seed=0,
-        max_iter=10,
-        update_refs="batch",
-        backend=backend,
-        **overrides,
+        lsh=LSHSpec(bands=8, rows=2, seed=0),
+        engine=engine,
+        train=TrainSpec(max_iter=10, update_refs="batch"),
     )
     model.fit(X, initial_centroids=initial)
     return model
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Run every ``MHKModes`` fit of the test on one backend instance.
+
+    A fit builds its backend from the ``EngineSpec`` afresh, so a test
+    that counts sessions hands its own instance to the engine through
+    ``_make_engine``.  Returns the installer; it returns the backend.
+    """
+
+    def install(backend):
+        monkeypatch.setattr(
+            MHKModes, "_make_engine", lambda self: ClusteringEngine(backend)
+        )
+        return backend
+
+    return install
+
+
+THREAD_X2 = EngineSpec(backend="thread", n_jobs=2)
+
+
 class TestOnePoolPerFit:
     @pytest.mark.parametrize(
-        "backend_factory",
-        [
-            lambda: ThreadBackend(n_jobs=2),
-            lambda: ProcessBackend(n_jobs=2),
-        ],
+        "engine",
+        [THREAD_X2, EngineSpec(backend="process", n_jobs=2)],
         ids=["thread", "process"],
     )
-    def test_single_session_spans_all_phases(self, workload, backend_factory):
+    def test_single_session_spans_all_phases(self, workload, engine, counted):
         X, initial = workload
-        backend = backend_factory()
+        backend = counted(backend_from_spec(engine))
         assert backend.sessions_opened == 0
-        _fit(X, initial, backend)
+        _fit(X, initial, engine)
         # exhaustive + signatures + index build + every iteration pass
         # all ran on ONE pool
         assert backend.sessions_opened == 1
 
-    def test_each_fit_opens_its_own_session(self, workload):
+    def test_each_fit_opens_its_own_session(self, workload, counted):
         X, initial = workload
-        backend = ThreadBackend(n_jobs=2)
-        _fit(X, initial, backend)
-        _fit(X, initial, backend)
+        backend = counted(ThreadBackend(n_jobs=2))
+        _fit(X, initial, THREAD_X2)
+        _fit(X, initial, THREAD_X2)
         assert backend.sessions_opened == 2
 
     def test_session_open_phase_recorded(self, workload):
         X, initial = workload
-        model = _fit(X, initial, ThreadBackend(n_jobs=2))
+        model = _fit(X, initial, THREAD_X2)
         assert "session_open" in model.stats_.phase_s
         assert model.stats_.phase_s["session_open"] >= 0.0
-        serial = _fit(X, initial, "serial")
+        serial = _fit(X, initial)
         assert serial.stats_.phase_s["session_open"] == 0.0
 
 
@@ -168,9 +184,11 @@ class TestForkAfterKernelCall:
 class TestSerialBatchVectorised:
     def test_vectorised_serial_batch_matches_per_item_pass(self, workload):
         X, initial = workload
-        fast = _fit(X, initial, "serial")
+        fast = _fit(X, initial)
         reference = MHKModes(
-            n_clusters=8, bands=8, rows=2, seed=0, max_iter=10, update_refs="batch"
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=0),
+            train=TrainSpec(max_iter=10, update_refs="batch"),
         )
         reference._force_per_item_pass = True
         reference.fit(X, initial_centroids=initial)
@@ -225,9 +243,12 @@ class TestSharedMemoryTransport:
 class TestSpawnContext:
     """The acceptance contract for platforms without fork."""
 
-    def test_spawn_backend_matches_serial_and_uses_shared_memory(self, workload):
+    def test_spawn_backend_matches_serial_and_uses_shared_memory(
+        self, workload, counted
+    ):
         X, initial = workload
-        backend = ProcessBackend(n_jobs=2, start_method="spawn")
+        engine = EngineSpec(backend="process", n_jobs=2, start_method="spawn")
+        backend = backend_from_spec(engine)
         assert not backend.inherits_static
         # the engine must route the item matrix through shared memory —
         # share_array is the only transport spawn sessions get
@@ -237,8 +258,9 @@ class TestSpawnContext:
                 pytest.skip("shared memory unavailable on this platform")
         finally:
             probe.release()
-        reference = _fit(X, initial, "serial")
-        spawned = _fit(X, initial, backend)
+        reference = _fit(X, initial)
+        counted(backend)
+        spawned = _fit(X, initial, engine)
         assert backend.sessions_opened == 1
         assert np.array_equal(spawned.labels_, reference.labels_)
         assert np.array_equal(spawned.centroids_, reference.centroids_)

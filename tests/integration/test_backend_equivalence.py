@@ -41,17 +41,12 @@ def numeric():
     return X, initial
 
 
-def _fit_kmodes(X, initial, backend, n_jobs, **overrides):
+def _fit_kmodes(X, initial, backend, n_jobs):
     model = MHKModes(
         n_clusters=15,
-        bands=8,
-        rows=2,
-        seed=0,
-        max_iter=15,
-        update_refs="batch",
-        backend=backend,
-        n_jobs=n_jobs,
-        **overrides,
+        lsh=LSHSpec(bands=8, rows=2, seed=0),
+        engine=EngineSpec(backend=backend, n_jobs=n_jobs),
+        train=TrainSpec(max_iter=15, update_refs="batch"),
     )
     model.fit(X, initial_centroids=initial)
     return model
@@ -125,12 +120,9 @@ class TestKMeansBackendEquivalence:
         def fit(backend, n_jobs):
             return LSHKMeans(
                 n_clusters=6,
-                bands=8,
-                rows=2,
-                seed=0,
-                update_refs="batch",
-                backend=backend,
-                n_jobs=n_jobs,
+                lsh=LSHSpec(family="pstable", bands=8, rows=2, seed=0),
+                engine=EngineSpec(backend=backend, n_jobs=n_jobs),
+                train=TrainSpec(update_refs="batch"),
             ).fit(X, initial_centroids=initial)
 
         reference = fit("serial", None)
@@ -142,13 +134,20 @@ class TestKMeansBackendEquivalence:
 class TestSemanticsGuards:
     def test_online_with_parallel_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            MHKModes(n_clusters=3, bands=4, rows=1, backend="thread",
-                     update_refs="online")
+            MHKModes(
+                n_clusters=3,
+                lsh=LSHSpec(bands=4, rows=1),
+                engine=EngineSpec(backend="thread"),
+                train=TrainSpec(update_refs="online"),
+            )
 
     def test_default_update_refs_resolution(self):
-        assert MHKModes(n_clusters=3, bands=4, rows=1).update_refs == "online"
+        lsh = LSHSpec(bands=4, rows=1)
+        assert MHKModes(n_clusters=3, lsh=lsh).update_refs == "online"
         assert (
-            MHKModes(n_clusters=3, bands=4, rows=1, backend="thread").update_refs
+            MHKModes(
+                n_clusters=3, lsh=lsh, engine=EngineSpec(backend="thread")
+            ).update_refs
             == "batch"
         )
 
@@ -170,10 +169,11 @@ class TestStreamingWithEngine:
         data = RuleBasedGenerator(
             n_clusters=6, n_attributes=12, domain_size=300, seed=13
         ).generate(240)
-        serial = StreamingMHKModes(n_clusters=6, bands=8, rows=1, seed=0)
+        serial = StreamingMHKModes(n_clusters=6, lsh=LSHSpec(bands=8, rows=1, seed=0))
         parallel = StreamingMHKModes(
-            n_clusters=6, bands=8, rows=1, seed=0,
-            backend="thread", n_jobs=2,
+            n_clusters=6,
+            lsh=LSHSpec(bands=8, rows=1, seed=0),
+            engine=EngineSpec(backend="thread", n_jobs=2),
         )
         serial.bootstrap(data.X[:180])
         parallel.bootstrap(data.X[:180])

@@ -13,6 +13,7 @@ the shortlist.  These tests drive that story end to end:
 import numpy as np
 import pytest
 
+from repro.api import LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.kmodes.kmodes import KModes
 from repro.metrics.external import adjusted_rand_index
@@ -49,7 +50,9 @@ class TestSaturatedEquivalence:
         init = X[rng.choice(len(X), k, replace=False)]
         exact = KModes(n_clusters=k, max_iter=30, seed=0).fit(X, initial_modes=init)
         accelerated = MHKModes(
-            n_clusters=k, bands=200, rows=1, max_iter=30, seed=0,
+            n_clusters=k,
+            lsh=LSHSpec(bands=200, rows=1, seed=0),
+            train=TrainSpec(max_iter=30),
         ).fit(X, initial_centroids=init)
         assert np.array_equal(exact.labels_, accelerated.labels_)
         assert exact.cost_ == accelerated.cost_
@@ -60,7 +63,9 @@ class TestSaturatedEquivalence:
         init = X[rng.choice(len(X), k, replace=False)]
         exact = KModes(n_clusters=k, max_iter=30, seed=0).fit(X, initial_modes=init)
         accelerated = MHKModes(
-            n_clusters=k, bands=200, rows=1, max_iter=30, seed=0
+            n_clusters=k,
+            lsh=LSHSpec(bands=200, rows=1, seed=0),
+            train=TrainSpec(max_iter=30),
         ).fit(X, initial_centroids=init)
         assert np.array_equal(exact.modes_, accelerated.modes_)
 
@@ -70,9 +75,11 @@ class TestSaturatedEquivalence:
         X, _ = saturating_dataset
         k = 6
         init = X[rng.choice(len(X), k, replace=False)]
-        model = MHKModes(n_clusters=k, bands=200, rows=1, max_iter=30, seed=0).fit(
-            X, initial_centroids=init
-        )
+        model = MHKModes(
+            n_clusters=k,
+            lsh=LSHSpec(bands=200, rows=1, seed=0),
+            train=TrainSpec(max_iter=30),
+        ).fit(X, initial_centroids=init)
         sizes = model.stats_.shortlist_sizes
         populated = len(np.unique(model.labels_))
         assert sizes[-1] >= populated
@@ -87,7 +94,9 @@ class TestRealisticAgreement:
             ds.X, initial_modes=init
         )
         accelerated = MHKModes(
-            n_clusters=60, bands=30, rows=2, max_iter=30, seed=0
+            n_clusters=60,
+            lsh=LSHSpec(bands=30, rows=2, seed=0),
+            train=TrainSpec(max_iter=30),
         ).fit(ds.X, initial_centroids=init)
         assert adjusted_rand_index(exact.labels_, accelerated.labels_) > 0.85
 
@@ -103,16 +112,20 @@ class TestRealisticAgreement:
         exact_purity = cluster_purity(exact.labels_, ds.labels)
         for bands, rows in ((20, 2), (20, 5), (50, 5)):
             accelerated = MHKModes(
-                n_clusters=60, bands=bands, rows=rows, max_iter=30, seed=0
+                n_clusters=60,
+                lsh=LSHSpec(bands=bands, rows=rows, seed=0),
+                train=TrainSpec(max_iter=30),
             ).fit(ds.X, initial_centroids=init)
             purity = cluster_purity(accelerated.labels_, ds.labels)
             assert purity > 0.85 * exact_purity, f"{bands}b {rows}r"
 
     def test_shortlists_shrink_search_space(self, medium_planted_dataset):
         ds = medium_planted_dataset
-        model = MHKModes(n_clusters=60, bands=20, rows=5, max_iter=30, seed=0).fit(
-            ds.X
-        )
+        model = MHKModes(
+            n_clusters=60,
+            lsh=LSHSpec(bands=20, rows=5, seed=0),
+            train=TrainSpec(max_iter=30),
+        ).fit(ds.X)
         assert np.nanmean(model.stats_.shortlist_sizes) < 60 / 4
 
     def test_mh_converges_no_slower_in_iterations(self, medium_planted_dataset):
@@ -125,6 +138,8 @@ class TestRealisticAgreement:
             ds.X, initial_modes=init
         )
         accelerated = MHKModes(
-            n_clusters=60, bands=20, rows=5, max_iter=40, seed=0
+            n_clusters=60,
+            lsh=LSHSpec(bands=20, rows=5, seed=0),
+            train=TrainSpec(max_iter=40),
         ).fit(ds.X, initial_centroids=init)
         assert accelerated.n_iter_ <= exact.n_iter_ + 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.data.yahoo import YahooAnswersSynthesizer, corpus_to_dataset
 from repro.kmodes.kmodes import KModes
@@ -39,7 +40,9 @@ class TestPipeline:
             dataset.X, initial_modes=init
         )
         accelerated = MHKModes(
-            n_clusters=corpus.n_topics, bands=1, rows=1, max_iter=10, seed=0,
+            n_clusters=corpus.n_topics,
+            lsh=LSHSpec(bands=1, rows=1, seed=0),
+            train=TrainSpec(max_iter=10),
             absent_code=0,
         ).fit(dataset.X, initial_centroids=init)
         exact_purity = cluster_purity(exact.labels_, dataset.labels)
@@ -49,7 +52,9 @@ class TestPipeline:
     def test_mh_shortlists_far_below_topic_count(self, pipeline):
         corpus, dataset = pipeline
         model = MHKModes(
-            n_clusters=corpus.n_topics, bands=1, rows=1, max_iter=10, seed=0,
+            n_clusters=corpus.n_topics,
+            lsh=LSHSpec(bands=1, rows=1, seed=0),
+            train=TrainSpec(max_iter=10),
             absent_code=0,
         ).fit(dataset.X)
         assert np.nanmean(model.stats_.shortlist_sizes) < corpus.n_topics / 5

@@ -19,7 +19,9 @@ class TestPublicSurface:
         data = repro.RuleBasedGenerator(
             n_clusters=20, n_attributes=16, seed=0
         ).generate(300)
-        fast = repro.MHKModes(n_clusters=20, bands=20, rows=5, seed=0).fit(data.X)
+        fast = repro.MHKModes(
+            n_clusters=20, lsh=repro.LSHSpec(bands=20, rows=5, seed=0)
+        ).fit(data.X)
         exact = repro.KModes(n_clusters=20, seed=0).fit(data.X)
         assert repro.cluster_purity(fast.labels_, data.labels) > 0.6
         assert repro.cluster_purity(exact.labels_, data.labels) > 0.6

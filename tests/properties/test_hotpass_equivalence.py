@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel_mod
+from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.core.shortlist import apply_fallback
 from repro.core.streaming import StreamingMHKModes
@@ -38,15 +39,16 @@ def numeric():
     return X, initial
 
 
-def _fit_kmodes(X, initial, per_item=False, **overrides):
+#: The training settings of every fit here, the per-item reference's too.
+BATCH = TrainSpec(max_iter=12, update_refs="batch")
+
+
+def _fit_kmodes(X, initial, per_item=False, engine=None, train=BATCH):
     model = MHKModes(
         n_clusters=12,
-        bands=8,
-        rows=2,
-        seed=0,
-        max_iter=12,
-        update_refs="batch",
-        **overrides,
+        lsh=LSHSpec(bands=8, rows=2, seed=0),
+        engine=engine,
+        train=train,
     )
     if per_item:
         model._force_per_item_pass = True
@@ -54,15 +56,12 @@ def _fit_kmodes(X, initial, per_item=False, **overrides):
     return model
 
 
-def _fit_kmeans(X, initial, per_item=False, **overrides):
+def _fit_kmeans(X, initial, per_item=False, engine=None):
     model = LSHKMeans(
         n_clusters=7,
-        bands=8,
-        rows=2,
-        seed=0,
-        max_iter=12,
-        update_refs="batch",
-        **overrides,
+        lsh=LSHSpec(family="pstable", bands=8, rows=2, seed=0),
+        engine=engine,
+        train=BATCH,
     )
     if per_item:
         model._force_per_item_pass = True
@@ -79,9 +78,9 @@ def _assert_same_fit(candidate, reference):
 
 ENGINE_CONFIGS = [
     {},
-    {"backend": "thread", "n_jobs": 2},
-    {"backend": "thread", "n_jobs": 3},
-    {"backend": "process", "n_jobs": 2},
+    {"engine": EngineSpec(backend="thread", n_jobs=2)},
+    {"engine": EngineSpec(backend="thread", n_jobs=3)},
+    {"engine": EngineSpec(backend="process", n_jobs=2)},
 ]
 
 
@@ -109,7 +108,9 @@ class TestVectorisedPassIdentity:
         reference = _fit_kmodes(X, initial, per_item=True)
         monkeypatch.setattr(parallel_mod, "_BLOCK_ITEMS", block_items)
         candidate = _fit_kmodes(X, initial)
-        chunked = _fit_kmodes(X, initial, backend="thread", n_jobs=2)
+        chunked = _fit_kmodes(
+            X, initial, engine=EngineSpec(backend="thread", n_jobs=2)
+        )
         _assert_same_fit(candidate, reference)
         _assert_same_fit(chunked, reference)
 
@@ -134,10 +135,12 @@ class TestVectorisedPassIdentity:
                        rng.integers(0, 50, size=(20, 10))])
         initial = X[rng.choice(len(X), 4, replace=False)].copy()
 
-        def fit(per_item, **overrides):
+        def fit(per_item, engine=None):
             model = MHKModes(
-                n_clusters=4, bands=6, rows=2, seed=0, max_iter=8,
-                update_refs="batch", **overrides,
+                n_clusters=4,
+                lsh=LSHSpec(bands=6, rows=2, seed=0),
+                engine=engine,
+                train=TrainSpec(max_iter=8, update_refs="batch"),
             )
             if per_item:
                 model._force_per_item_pass = True
@@ -145,7 +148,9 @@ class TestVectorisedPassIdentity:
 
         reference = fit(per_item=True)
         vectorised = fit(per_item=False)
-        threaded = fit(per_item=False, backend="thread", n_jobs=2)
+        threaded = fit(
+            per_item=False, engine=EngineSpec(backend="thread", n_jobs=2)
+        )
         assert np.array_equal(vectorised.labels_, reference.labels_)
         assert np.array_equal(threaded.labels_, reference.labels_)
         # the whole clone cohort shares one group in the index CSR
@@ -158,16 +163,22 @@ class TestVectorisedPassIdentity:
             n_clusters=6, n_attributes=12, domain_size=300, seed=13
         ).generate(260)
         vectorised = StreamingMHKModes(
-            n_clusters=6, bands=8, rows=1, seed=0, update_refs="batch"
+            n_clusters=6,
+            lsh=LSHSpec(bands=8, rows=1, seed=0),
+            train=TrainSpec(update_refs="batch"),
         )
         threaded = StreamingMHKModes(
-            n_clusters=6, bands=8, rows=1, seed=0, update_refs="batch",
-            backend="thread", n_jobs=2,
+            n_clusters=6,
+            lsh=LSHSpec(bands=8, rows=1, seed=0),
+            engine=EngineSpec(backend="thread", n_jobs=2),
+            train=TrainSpec(update_refs="batch"),
         )
         # per-item reference needs the hook on the inner bootstrap model,
         # so bootstrap manually through MHKModes
         inner = MHKModes(
-            n_clusters=6, bands=8, rows=1, seed=0, update_refs="batch",
+            n_clusters=6,
+            lsh=LSHSpec(bands=8, rows=1, seed=0),
+            train=TrainSpec(update_refs="batch"),
             precompute_neighbours=False,
         )
         inner._force_per_item_pass = True
@@ -234,13 +245,17 @@ class TestBatchedPredictRegression:
 
     def test_error_fallback_raises_on_empty_rows(self, categorical):
         X, initial = categorical
-        model = _fit_kmodes(X, initial, predict_fallback="error")
+        model = _fit_kmodes(
+            X, initial, train=BATCH.replace(predict_fallback="error")
+        )
         aliens = np.full((3, X.shape[1]), 599, dtype=np.int64)
         with pytest.raises(ConfigurationError):
             model.predict(aliens)
 
     def test_error_fallback_passes_when_all_rows_collide(self, categorical):
         X, initial = categorical
-        model = _fit_kmodes(X, initial, predict_fallback="error")
+        model = _fit_kmodes(
+            X, initial, train=BATCH.replace(predict_fallback="error")
+        )
         full = _fit_kmodes(X, initial)
         assert np.array_equal(model.predict(X[:20]), full.predict(X[:20]))

@@ -91,12 +91,20 @@ class TestDeadlines:
             resilience=ResilienceSpec(deadline_ms=100),
         )
         with ModelServer(model, spec) as server:
-            with inject_faults(FaultPlan(delay_s=0.5)):
+            with inject_faults(FaultPlan(delay_s=0.5)) as faults:
+                # The queue's clock reads 0 s until the first delayed
+                # kernel call starts and 1 s from then on.  The first
+                # request's wave is past the dispatcher's expiry check
+                # by then, so the request misses its 100 ms deadline
+                # while the wave sleeps; the recovery request below
+                # starts at 1 s and cannot miss its own, however long
+                # it takes on the wall clock.
+                server._queue._clock = lambda: 1.0 if faults.chunks_seen else 0.0
                 with pytest.raises(DeadlineExceededError):
                     server.predict(X[:8])
             # The abandoned wave still occupies the pool's worker
             # threads until its injected sleeps finish; wait it out so
-            # the recovery request is measured on a quiet pool.
+            # the recovery request runs on a quiet pool.
             deadline = time.monotonic() + 10
             while server._queue._busy:
                 assert time.monotonic() < deadline, "stale wave never drained"

@@ -43,7 +43,7 @@ class TestConstruction:
             assert server.spec == ServeSpec(backend="thread", n_jobs=2)
 
     def test_rejects_non_spec(self, artifact):
-        with pytest.raises(ConfigurationError, match="ServeSpec"):
+        with pytest.raises(ConfigurationError, match="^spec must be a ServeSpec "):
             ModelServer(artifact, spec="thread")
 
     def test_index_is_frozen_for_serving(self, artifact):
