@@ -5,8 +5,11 @@ implementation decisions the paper leaves implicit:
 
 * presence filtering (Algorithm 2 lines 1-4) on sparse binary data;
 * online vs batch cluster-reference updates;
-* precomputed (grouped) neighbour lists vs on-the-fly bucket unions;
 * the (b, r) sweep behind §III-D's parameter guidance.
+
+Neighbour lists have one form: a fit walks the grouped CSR its
+session builds, so there is no on-the-fly variant left to ablate
+(``benchmarks/test_hotpass.py`` times the pass that walks it).
 """
 
 import numpy as np
@@ -22,14 +25,13 @@ from repro.metrics.purity import cluster_purity
 K_FIG9 = 300
 
 
-def _fit(update_refs=None, precompute_neighbours=True):
+def _fit(update_refs=None):
     dataset = get_dataset("fig9")
     model = MHKModes(
         n_clusters=K_FIG9,
         lsh=LSHSpec(bands=10, rows=1, seed=0),
         train=TrainSpec(max_iter=6, update_refs=update_refs),
         absent_code=0,
-        precompute_neighbours=precompute_neighbours,
     )
     model.fit(dataset.X)
     return model, dataset
@@ -90,41 +92,6 @@ class TestUpdateRefs:
                      f"{online.stats_.total_time_s:.2f}"],
                     ["batch", f"{batch_purity:.3f}", batch.n_iter_,
                      f"{batch.stats_.total_time_s:.2f}"],
-                ],
-            ),
-        )
-
-
-class TestNeighbourPrecompute:
-    def test_precompute_pays_off_per_iteration(self, benchmark):
-        """Grouped neighbour lists trade setup time for iteration time."""
-        with_pre, dataset = benchmark.pedantic(
-            _fit, kwargs={"precompute_neighbours": True}, rounds=1, iterations=1
-        )
-        without = MHKModes(
-            n_clusters=K_FIG9,
-            lsh=LSHSpec(bands=10, rows=1, seed=0),
-            train=TrainSpec(max_iter=6),
-            absent_code=0,
-            precompute_neighbours=False,
-        ).fit(dataset.X)
-        # Identical clustering either way (it is a pure execution detail) —
-        assert np.array_equal(with_pre.labels_, without.labels_)
-        # — but iterations are cheaper with the precomputed lists.
-        assert (
-            with_pre.stats_.mean_iteration_s
-            <= without.stats_.mean_iteration_s * 1.1
-        )
-        write_result(
-            "ablation_neighbour_precompute",
-            "Ablation — grouped neighbour precompute vs on-the-fly unions\n"
-            + format_table(
-                ["variant", "setup_s", "mean iter_s"],
-                [
-                    ["precomputed", f"{with_pre.stats_.setup_s:.3f}",
-                     f"{with_pre.stats_.mean_iteration_s:.3f}"],
-                    ["on-the-fly", f"{without.stats_.setup_s:.3f}",
-                     f"{without.stats_.mean_iteration_s:.3f}"],
                 ],
             ),
         )

@@ -9,6 +9,9 @@ Times one batch assignment pass over the engine-scaling workload
   shortlist build off the flat neighbour CSR, one padded
   ``_block_distances`` tensor per sub-block.
 
+Both walk the same grouped neighbour CSR, built once here as a fit
+session builds it.
+
 Both must produce bit-identical labels; the vectorised pass must be at
 least 3× faster (wall-clock asserted locally, skipped on shared CI
 runners).  The batched predict path is timed against the per-item
@@ -33,8 +36,9 @@ from repro.obs import capture_metrics
 from repro.core.mh_kmodes import MHKModes
 from repro.core.shortlist import ShortlistAccumulator, apply_fallback
 from repro.data.datgen import RuleBasedGenerator
-from repro.engine.parallel import _assignment_chunk, _pass_neighbour_csr
+from repro.engine.parallel import _assignment_chunk
 from repro.kernels import active_backend
+from repro.lsh.index import grouped_neighbour_csr
 
 N_ITEMS = 20_000
 N_CLUSTERS = 800
@@ -81,15 +85,14 @@ def test_vectorised_pass_speedup(fitted):
     centroids = model.centroids_
     labels = model.labels_.copy()
     n = X.shape[0]
+    csr = grouped_neighbour_csr(index.band_keys)
 
     def per_item_pass():
         accumulator = ShortlistAccumulator()
         out, moves = model._shortlist_pass(
-            X, centroids, labels.copy(), index, accumulator
+            X, centroids, labels.copy(), index, csr, accumulator
         )
         return out, moves, accumulator.mean()
-
-    csr = _pass_neighbour_csr(index)
 
     def vectorised_pass():
         out, moves, total, _ = _assignment_chunk(

@@ -1,9 +1,13 @@
 """Open-loop overload bench: 4× sustained capacity against the SLO.
 
 The resilience acceptance scenario: calibrate the server's sustained
-closed-loop capacity, then drive an *open-loop* request stream at 4×
-that rate — arrivals keep their schedule whether or not earlier
-requests finished, which is what real overload looks like.  A server
+closed-loop capacity, with as many closed-loop clients as the server
+holds in service (``max_in_flight`` waves of up to ``max_batch`` rows),
+then drive an *open-loop* request stream at 4× that rate — arrivals
+keep their schedule whether or not earlier requests finished, which is
+what real overload looks like.  One client alone leaves the second
+wave and the coalescing idle, so "4×" of its rate can fit within what
+the server absorbs.  A server
 with admission control must then
 
 * answer every accepted request within its deadline (the SLO bound on
@@ -113,11 +117,36 @@ def test_overload_holds_slo_and_sheds_load_structurally(overload_server):
     server, requests = overload_server
 
     # -- calibration: sustained closed-loop capacity ---------------------
+    # One closed-loop client per request the server holds in service:
+    # max_in_flight waves, each coalescing up to max_batch rows.
+    # Daemon threads joined against a deadline, as in the open loop: a
+    # hung client fails the bench instead of blocking it.
+    spec = server.spec
+    clients = spec.resilience.max_in_flight * spec.max_batch // REQUEST_ROWS
+    errors: list[BaseException] = []
+
+    def closed_loop(client: int) -> None:
+        try:
+            for i in range(client, CALIBRATION_REQUESTS, clients):
+                server.predict(requests[i % len(requests)])
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
     server.predict(requests[0])  # warm the pool before timing
+    calibrators = [
+        threading.Thread(target=closed_loop, args=(c,), daemon=True)
+        for c in range(clients)
+    ]
     start = time.perf_counter()
-    for i in range(CALIBRATION_REQUESTS):
-        server.predict(requests[i % len(requests)])
+    for thread in calibrators:
+        thread.start()
+    join_deadline = time.monotonic() + JOIN_GRACE_S
+    for thread in calibrators:
+        thread.join(timeout=max(0.0, join_deadline - time.monotonic()))
     calibration_s = time.perf_counter() - start
+    assert not any(t.is_alive() for t in calibrators), "a calibration client hung"
+    if errors:
+        raise errors[0]
     capacity_rps = CALIBRATION_REQUESTS / calibration_s
 
     # -- open loop at 4x: arrivals never wait for completions ------------
@@ -167,6 +196,7 @@ def test_overload_holds_slo_and_sheds_load_structurally(overload_server):
         "smoke": SMOKE,
         "request_rows": REQUEST_ROWS,
         "deadline_ms": DEADLINE_MS,
+        "calibration_clients": clients,
         "capacity_rps": round(capacity_rps, 1),
         "offered_rps": round(offered_rps, 1),
         "overload_factor": OVERLOAD_FACTOR,

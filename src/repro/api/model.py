@@ -80,9 +80,8 @@ class ClusterModel:
         Training assignments (read-only copy), when available.
     band_keys, assignments:
         The clustered index's banded keys and per-item cluster
-        references; together they fully determine the rebuilt index
-        (buckets *and* neighbour CSR), so serving reproduces the
-        training index exactly.
+        references; together they fully determine the rebuilt index,
+        so serving reproduces the training index exactly.
     params:
         Estimator-own constructor parameters outside the specs
         (e.g. ``absent_code``; the full flat kwargs for baselines).

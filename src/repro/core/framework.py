@@ -22,8 +22,9 @@ The base class owns the loop itself:
    references in place (``update_refs='online'``, the paper's
    behaviour: a per-item pass where reassignments are visible to
    later items) or at the end of the pass (``'batch'``: a vectorised
-   pass over the index's flat neighbour CSR, identical labels on
-   every backend);
+   pass, identical labels on every backend).  Both passes walk the
+   items' neighbour lists, which the fit session builds once per fit
+   as one flat CSR (the index stores none);
 4. recompute centroids; stop when no item moved or ``max_iter`` hits.
 
 All phases of one fit — including the per-iteration passes — run on a
@@ -91,9 +92,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         reference-update mode (``'online'`` per the paper on serial,
         ``'batch'`` for the vectorised pass on any backend),
         empty-cluster policy, cost tracking and the predict fallback.
-    precompute_neighbours:
-        Forwarded to :class:`~repro.lsh.index.ClusteredLSHIndex`
-        (``False`` keeps the index insertable for streaming).
 
     Attributes
     ----------
@@ -134,7 +132,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         lsh: LSHSpec | dict | None = None,
         engine: EngineSpec | dict | None = None,
         train: TrainSpec | dict | None = None,
-        precompute_neighbours: bool = True,
     ):
         lsh = LSHSpec.coerce(lsh, "lsh", self._default_lsh)
         engine = EngineSpec.coerce(engine, "engine", self._default_engine)
@@ -171,7 +168,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         self._resolved_update_refs = train.update_refs or (
             "batch" if parallel else "online"
         )
-        self.precompute_neighbours = bool(precompute_neighbours)
 
         self.cost_: float = float("nan")
         self.n_iter_: int = 0
@@ -226,7 +222,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
 
     def _artifact_params(self) -> dict:
         """Estimator-own constructor params persisted in the artifact."""
-        return {"precompute_neighbours": self.precompute_neighbours}
+        return {}
 
     def _artifact_state(self) -> dict:
         """Extra fitted scalars persisted in the artifact."""
@@ -272,7 +268,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
                 self.rows,
                 np.array(model.band_keys),
                 np.array(model.assignments),
-                precompute_neighbours=self.precompute_neighbours,
             )
 
     # ------------------------------------------------------------------
@@ -478,6 +473,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         centroids: np.ndarray,
         labels: np.ndarray,
         index: ClusteredLSHIndex,
+        csr: tuple[np.ndarray, np.ndarray, np.ndarray],
         accumulator: ShortlistAccumulator,
     ) -> tuple[np.ndarray, int]:
         """One assignment pass over all items using index shortlists.
@@ -485,16 +481,17 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         This is the hot loop of the whole library, so it works on raw
         arrays: the index's live assignment view doubles as the label
         array (online reference updates are then a plain element write),
-        and precomputed neighbour lists are walked as CSR slices.
+        and the neighbour lists are walked as slices of ``csr``, the
+        ``(group_of, indptr, indices)`` triple of
+        :func:`~repro.lsh.index.grouped_neighbour_csr` over the index's
+        band keys.
         """
         online = self.update_refs == "online"
         index.set_assignments(labels)
         refs = index.assignments_view()  # live view; refs[i] = c updates the index
         new_labels = labels.copy()
         working = refs if online else labels
-        csr = index.neighbour_csr() if index.precompute_neighbours else None
-        if csr is not None:
-            group_of, nbr_indptr, nbr_indices = csr
+        group_of, nbr_indptr, nbr_indices = csr
         point_distances = self._point_distances
         unique = np.unique
         argmin = np.argmin
@@ -503,11 +500,8 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         total_shortlist = 0
         n = X.shape[0]
         for i in range(n):
-            if csr is not None:
-                group = group_of[i]
-                neighbours = nbr_indices[nbr_indptr[group] : nbr_indptr[group + 1]]
-            else:
-                neighbours = index.candidate_items(i)
+            group = group_of[i]
+            neighbours = nbr_indices[nbr_indptr[group] : nbr_indptr[group + 1]]
             shortlist = unique(working[neighbours])
             total_shortlist += len(shortlist)
             distances = point_distances(X, i, centroids[shortlist])

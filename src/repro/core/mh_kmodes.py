@@ -66,8 +66,6 @@ class MHKModes(BaseLSHAcceleratedClustering):
     domain_size:
         Global category domain size for token encoding (default:
         inferred from the data).
-    precompute_neighbours:
-        See :class:`~repro.core.framework.BaseLSHAcceleratedClustering`.
 
     Attributes
     ----------
@@ -97,15 +95,8 @@ class MHKModes(BaseLSHAcceleratedClustering):
         train: TrainSpec | dict | None = None,
         absent_code: int | None = None,
         domain_size: int | None = None,
-        precompute_neighbours: bool = True,
     ):
-        super().__init__(
-            n_clusters,
-            lsh=lsh,
-            engine=engine,
-            train=train,
-            precompute_neighbours=precompute_neighbours,
-        )
+        super().__init__(n_clusters, lsh=lsh, engine=engine, train=train)
         resolve_init(self.init)
         self.absent_code = absent_code
         self.domain_size = domain_size
@@ -258,11 +249,7 @@ class MHKModes(BaseLSHAcceleratedClustering):
     # ------------------------------------------------------------------
 
     def _artifact_params(self) -> dict:
-        return {
-            **super()._artifact_params(),
-            "absent_code": self.absent_code,
-            "domain_size": self.domain_size,
-        }
+        return {"absent_code": self.absent_code, "domain_size": self.domain_size}
 
     def _artifact_state(self) -> dict:
         state = super()._artifact_state()

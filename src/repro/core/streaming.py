@@ -9,8 +9,8 @@ item can be hashed into the existing buckets in O(bands).
 :class:`StreamingMHKModes` works in two phases:
 
 1. **bootstrap** — an ordinary MH-K-Modes fit on an initial batch
-   establishes modes and the clustered index (built *without*
-   precomputed neighbour lists so it stays insertable);
+   establishes modes and the clustered index, which then takes
+   inserts;
 2. **streaming** — arriving items are MinHashed, inserted into the
    buckets with their cluster references, and assigned to the nearest
    mode on their shortlists.  Per-cluster per-attribute value counts
@@ -550,7 +550,6 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
             train=self.train,
             absent_code=self.absent_code,
             domain_size=self.domain_size,
-            precompute_neighbours=False,  # keeps the index insertable
         )
         model.fit(X, initial_centroids=initial_centroids)
         assert model.labels_ is not None and model.centroids_ is not None
@@ -914,11 +913,7 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
             labels=index.assignments,
             band_keys=index.band_keys,
             assignments=index.assignments,
-            params={
-                "absent_code": self.absent_code,
-                "domain_size": self.domain_size,
-                "precompute_neighbours": False,
-            },
+            params={"absent_code": self.absent_code, "domain_size": self.domain_size},
             state=state,
             metadata=self._artifact_metadata(),
         )

@@ -13,10 +13,10 @@ a ``.json`` sidecar holds the spec triple
 :class:`~repro.api.TrainSpec`, via their ``to_dict`` round-trip),
 estimator-own parameters and fitted scalars — human-readable
 provenance.  The clustered LSH index is *not* serialised bucket by
-bucket: band keys fully determine the buckets *and* the flat CSR
-neighbour storage, so a loaded model predicts exactly like the
-original — same shortlists, same CSR fast paths — whichever backend
-fitted it, and can be saved on one machine and reloaded on another.
+bucket: band keys fully determine the buckets, so a loaded model
+predicts exactly like the original — same shortlists — whichever
+backend fitted it, and can be saved on one machine and reloaded on
+another.
 Streamed inserts are persisted too: the band-key/assignment views
 cover every inserted item, and the archive stores compact copies,
 never the index's over-allocated growth buffers.
@@ -271,12 +271,19 @@ def load_cluster_model(path: str | Path):
         )
 
     # Sidecars written while EngineSpec had an index shard count carry
-    # an "n_shards" entry (usually null).  The value never changed a
-    # label, so it is dropped here rather than rejected; spec files and
-    # engine dicts still fail loudly on it.
+    # an "n_shards" entry (usually null), and those written while the
+    # index could store neighbour lists a "precompute_neighbours"
+    # param.  Neither value ever changed a label, so both are dropped
+    # here rather than rejected; spec files, engine dicts and
+    # constructors still fail loudly on them.
     engine = specs["engine"]
     if isinstance(engine, dict):
         engine = {k: v for k, v in engine.items() if k != "n_shards"}
+    params = {
+        k: v
+        for k, v in sidecar.get("params", {}).items()
+        if k != "precompute_neighbours"
+    }
 
     with np.load(path, allow_pickle=False) as archive:
         if "centroids" not in archive.files:
@@ -306,7 +313,7 @@ def load_cluster_model(path: str | Path):
         labels=labels,
         band_keys=band_keys,
         assignments=index_assignments,
-        params=sidecar.get("params", {}),
+        params=params,
         state=sidecar.get("state", {}),
         metadata=sidecar.get("metadata", {}),
     )

@@ -15,6 +15,13 @@ exhaustive setup pass to the last iteration:
   :class:`~repro.lsh.index.ClusteredLSHIndex` layout;
 * **assignment passes** — the per-iteration hot loop.
 
+The session owns the fit's neighbour lists: ``build_index`` builds
+them once, right after the index, from its band keys with
+:func:`~repro.lsh.index.grouped_neighbour_csr` (buckets do not change
+during a fit, so this is part of the indexing setup), every pass walks
+them, and they go when the session closes.  The index never stores
+them.
+
 Bulky state crosses into workers exactly once.  The item matrix rides
 the session's static payload (copy-on-write under ``fork``, a
 :mod:`multiprocessing.shared_memory` segment under ``spawn``); state
@@ -27,7 +34,7 @@ paper's exact per-item pass (reassignments visible to later items in
 the same pass).  With ``update_refs='batch'`` **every** backend —
 serial included — runs the vectorised batch pass: per chunk, the
 ragged shortlists are built with one segmented ``np.unique`` over
-``group * k + label`` keys off the index's group-level neighbour CSR
+``group * k + label`` keys off the session's group-level neighbour CSR
 (items with identical band keys share one neighbour list *and* one
 shortlist), padded into a dense block, and scored with the model's
 ``_block_distances`` kernel.  Tie-breaking replicates the per-item rule (keep the current
@@ -241,28 +248,6 @@ def _assignment_chunk(
 
 
 # ----------------------------------------------------------------------
-# neighbour CSR expansion
-# ----------------------------------------------------------------------
-
-
-def _pass_neighbour_csr(
-    index: ClusteredLSHIndex,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(group_of, indptr, indices)`` CSR the batch kernels walk.
-
-    Precomputed neighbours come straight from the index's group-level
-    storage (:meth:`~repro.lsh.index.BaseClusteredIndex.neighbour_csr`)
-    — zero copies.  Without precomputation the same grouped lists are
-    built once per fit from the index's band keys, so the grouping's
-    O(n) guarantee on duplicate-heavy data holds either way.
-    """
-    csr = index.neighbour_csr()
-    if csr is not None:
-        return csr
-    return grouped_neighbour_csr(index.band_keys)
-
-
-# ----------------------------------------------------------------------
 # fit sessions
 # ----------------------------------------------------------------------
 
@@ -271,11 +256,7 @@ def _build_index(
     model, signatures: np.ndarray, labels: np.ndarray
 ) -> ClusteredLSHIndex:
     """The fit's clustered index, built in-process on any backend."""
-    return ClusteredLSHIndex(
-        model.bands,
-        model.rows,
-        precompute_neighbours=model.precompute_neighbours,
-    ).build(signatures, labels)
+    return ClusteredLSHIndex(model.bands, model.rows).build(signatures, labels)
 
 
 class _SerialFitSession:
@@ -284,8 +265,9 @@ class _SerialFitSession:
     The assignment loop honours ``update_refs``: ``'online'`` runs the
     paper's per-item pass unchanged; ``'batch'`` runs the vectorised
     chunk kernel on the full span (identical labels, far fewer Python
-    dispatches).  Tests can pin ``model._force_per_item_pass = True``
-    to keep the per-item batch pass as an equivalence reference.
+    dispatches).  Both walk the neighbour CSR ``build_index`` builds.
+    Tests can pin ``model._force_per_item_pass = True`` to keep the
+    per-item batch pass as an equivalence reference.
     """
 
     #: Pool spin-up cost; zero by construction for the serial session.
@@ -315,6 +297,7 @@ class _SerialFitSession:
         self, signatures: np.ndarray, labels: np.ndarray
     ) -> ClusteredLSHIndex:
         self._index = _build_index(self._model, signatures, labels)
+        self._csr = grouped_neighbour_csr(self._index.band_keys)
         return self._index
 
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
@@ -324,10 +307,8 @@ class _SerialFitSession:
             model, "_force_per_item_pass", False
         ):
             return model._shortlist_pass(
-                self._X, centroids, labels, self._index, accumulator
+                self._X, centroids, labels, self._index, self._csr, accumulator
             )
-        if self._csr is None:
-            self._csr = _pass_neighbour_csr(self._index)
         n = self._X.shape[0]
         out, moves, total, smax = _assignment_chunk(
             (model, self._X), (centroids, labels, self._csr), (0, n)
@@ -337,7 +318,7 @@ class _SerialFitSession:
         return out, moves
 
     def close(self) -> None:
-        pass
+        self._csr = None
 
 
 class _ParallelFitSession:
@@ -411,19 +392,16 @@ class _ParallelFitSession:
         self, signatures: np.ndarray, labels: np.ndarray
     ) -> ClusteredLSHIndex:
         # In the parent, as a serial fit: the workers only ever read
-        # the neighbour CSR the index yields.
+        # the neighbour CSR built from it.
         self._index = _build_index(self._model, signatures, labels)
+        self._csr_refs = tuple(
+            self._share(part)
+            for part in grouped_neighbour_csr(self._index.band_keys)
+        )
         return self._index
 
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
         assert self._index is not None, "build_index must run before passes"
-        if self._csr_refs is None:
-            group_of, indptr, indices = _pass_neighbour_csr(self._index)
-            self._csr_refs = (
-                self._share(group_of),
-                self._share(indptr),
-                self._share(indices),
-            )
         spans = chunk_ranges(self._n, self._backend.n_jobs)
         results = self._pool.run(
             _assignment_chunk, spans, dynamic=(centroids, labels, self._csr_refs)

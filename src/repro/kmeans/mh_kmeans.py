@@ -42,7 +42,7 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
         (cosine; good for direction-clustered data) or ``'pstable'``
         (Euclidean; pick ``width`` near the intra-cluster scale — the
         default spec).
-    engine, train, precompute_neighbours:
+    engine, train:
         See :class:`~repro.core.framework.BaseLSHAcceleratedClustering`.
 
     Examples
@@ -70,15 +70,8 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
         lsh: LSHSpec | dict | None = None,
         engine: EngineSpec | dict | None = None,
         train: TrainSpec | dict | None = None,
-        precompute_neighbours: bool = True,
     ):
-        super().__init__(
-            n_clusters,
-            lsh=lsh,
-            engine=engine,
-            train=train,
-            precompute_neighbours=precompute_neighbours,
-        )
+        super().__init__(n_clusters, lsh=lsh, engine=engine, train=train)
         hash_seed = (0 if self.seed is None else int(self.seed)) ^ 0x5EEDBEEF
         if self.family == "simhash":
             self._hasher = SimHasher(self.bands * self.rows, seed=hash_seed)

@@ -7,13 +7,14 @@ reference to the cluster it is currently assigned to.
 Build phase (run once, after centroid initialisation):
 
 1. every item's signature is banded into ``b`` bucket keys;
-2. optionally, each item's static *neighbour list* — the union of its
-   buckets' members — is precomputed, because buckets never change
-   after the build.  Per band, the keys are sorted into bucket runs
-   (:func:`band_runs`), and the lists are gathered from those runs and
-   stored as one flat CSR pair (``indptr``, ``indices``) per *group*
-   of items with identical band-key rows: such items occupy exactly
-   the same buckets and share one list, which collapses the
+2. the index stores the key rows and the cluster references.  Item
+   neighbour lists (the union of an item's buckets' members) are not
+   stored: a fit, where buckets never change, builds them once with
+   :func:`grouped_neighbour_csr` — per band the keys are sorted into
+   bucket runs (:func:`band_runs`), and the lists are gathered from
+   those runs into one flat CSR pair (``indptr``, ``indices``) per
+   *group* of items with identical band-key rows.  Such items occupy
+   exactly the same buckets and share one list, which collapses the
    pathological case of many identical (or empty) token sets from
    O(n²) to O(n) work and memory, and the flat layout keeps the
    per-iteration hot loop free of Python-object traffic.
@@ -22,8 +23,9 @@ Query phase (run once per item per iteration):
 
 * :meth:`BaseClusteredIndex.candidate_clusters` returns the distinct
   clusters currently holding the item's neighbours.  This is the
-  paper's *shortlist*.  Because an item always collides with itself,
-  the shortlist always contains the item's own current cluster.
+  paper's *shortlist* (a fit reads the same clusters off its neighbour
+  lists).  Because an item always collides with itself, the shortlist
+  always contains the item's own current cluster.
 
 Update phase (after each reassignment):
 
@@ -47,10 +49,9 @@ sorted into a small *delta* segment, which is merged into the *main*
 segment once it holds more than ``max(4096, main entries / 8)``
 entries.  Main, delta and the tail's start are published as one
 immutable snapshot, so a reader sees all of an update or none of it.
-The snapshot is built on the first query that needs it (a novel
-signature, or an item without precomputed neighbours) or at
-:meth:`~BaseClusteredIndex.freeze`; a fit that reads only its
-precomputed neighbours never builds it.
+The snapshot is built on the first query that needs it or at
+:meth:`~BaseClusteredIndex.freeze`; a fit, which walks its own
+neighbour lists, never builds it.
 
 :class:`BaseClusteredIndex` owns this whole surface — item storage,
 queries, assignment updates, insertion and statistics;
@@ -108,9 +109,6 @@ class IndexStats:
         Average number of items per bucket.
     max_bucket_size:
         Size of the fullest bucket.
-    mean_neighbours:
-        Average neighbour-list length (only when neighbours are
-        precomputed; ``nan`` otherwise).
     """
 
     n_items: int
@@ -119,7 +117,6 @@ class IndexStats:
     n_buckets: int
     mean_bucket_size: float
     max_bucket_size: int
-    mean_neighbours: float
 
 
 # ----------------------------------------------------------------------
@@ -308,19 +305,15 @@ class BaseClusteredIndex:
     module docstring; :class:`ClusteredLSHIndex` builds the index.
     """
 
-    def __init__(self, bands: int, rows: int, precompute_neighbours: bool = True):
+    def __init__(self, bands: int, rows: int):
         validate_bands_rows(bands, rows)
         self.bands = int(bands)
         self.rows = int(rows)
-        self.precompute_neighbours = bool(precompute_neighbours)
         self._keys_buf: np.ndarray | None = None  # (capacity, bands) uint64
         self._assign_buf: np.ndarray | None = None  # (capacity,) int64
         self._n = 0
         self._read_only = False
         self._state: _Buckets | None = None  # built on first use
-        self._group_of: np.ndarray | None = None
-        self._nbr_indptr: np.ndarray | None = None
-        self._nbr_indices: np.ndarray | None = None
 
     # -- shared build plumbing -------------------------------------------
 
@@ -342,15 +335,11 @@ class BaseClusteredIndex:
         return assignments
 
     def _finalise(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
-        """Store a freshly built key matrix; group neighbours if asked."""
+        """Store a freshly built key matrix and its cluster references."""
         self._keys_buf = np.ascontiguousarray(band_keys, dtype=np.uint64)
         self._assign_buf = assignments.astype(np.int64).copy()
         self._n = len(band_keys)
         self._state = None
-        if self.precompute_neighbours:
-            self._group_of, self._nbr_indptr, self._nbr_indices = (
-                grouped_neighbour_csr(self._keys_buf)
-            )
 
     # -- the bucket segments ---------------------------------------------
 
@@ -424,12 +413,6 @@ class BaseClusteredIndex:
     def candidate_items(self, item: int) -> np.ndarray:
         """All items sharing at least one bucket with ``item`` (incl. itself)."""
         self._check_built()
-        if self._nbr_indptr is not None:
-            assert self._group_of is not None and self._nbr_indices is not None
-            group = self._group_of[item]
-            return self._nbr_indices[
-                self._nbr_indptr[group] : self._nbr_indptr[group + 1]
-            ]
         assert self._keys_buf is not None
         return np.unique(self._hits(self._keys_buf[item][None, :])[1])
 
@@ -503,41 +486,6 @@ class BaseClusteredIndex:
         np.cumsum(counts, out=indptr[1:])
         return indptr, u_cluster
 
-    def neighbour_csr(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The flat neighbour storage: ``(group_of, indptr, indices)``.
-
-        Item ``i``'s precomputed neighbour list is
-        ``indices[indptr[group_of[i]]:indptr[group_of[i] + 1]]``; items
-        with identical band-key rows share one list.  Returns ``None``
-        when the index was built with ``precompute_neighbours=False``;
-        callers must then go through :meth:`candidate_items` (or
-        :func:`grouped_neighbour_csr` over :attr:`band_keys`).
-        """
-        self._check_built()
-        if self._nbr_indptr is None:
-            return None
-        assert self._group_of is not None and self._nbr_indices is not None
-        return self._group_of, self._nbr_indptr, self._nbr_indices
-
-    def neighbour_groups(self) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """Grouped neighbour lists: ``(group_of, group_neighbours)``.
-
-        Convenience view over :meth:`neighbour_csr` —
-        ``group_neighbours[group_of[i]]`` is item ``i``'s neighbour
-        list, each entry a zero-copy slice of the CSR ``indices``
-        array.  Returns ``None`` when neighbours are not precomputed.
-        """
-        csr = self.neighbour_csr()
-        if csr is None:
-            return None
-        group_of, indptr, indices = csr
-        lists = [
-            indices[indptr[g] : indptr[g + 1]] for g in range(len(indptr) - 1)
-        ]
-        return group_of, lists
-
     # -- read-only query mode (serving) ----------------------------------
 
     @property
@@ -589,9 +537,7 @@ class BaseClusteredIndex:
         Supports the streaming extension (the paper's Further Work):
         late-arriving items are hashed into the existing buckets with
         their cluster reference, making them visible to subsequent
-        queries.  Requires ``precompute_neighbours=False`` — grouped
-        neighbour lists are frozen at build time and cannot absorb
-        inserts.  Band keys and assignments grow through amortised
+        queries.  Band keys and assignments grow through amortised
         doubling buffers; the item joins the directly scanned tail,
         which is sorted into the delta segment every
         :data:`TAIL_ITEMS` items.
@@ -605,11 +551,6 @@ class BaseClusteredIndex:
         """
         self._check_built()
         self._check_mutable("insert")
-        if self._nbr_indptr is not None:
-            raise ConfigurationError(
-                "insert requires precompute_neighbours=False; grouped "
-                "neighbour lists cannot absorb new items"
-            )
         assert self._keys_buf is not None and self._assign_buf is not None
         signature = np.asarray(signature)
         if signature.ndim != 1:
@@ -655,11 +596,6 @@ class BaseClusteredIndex:
         """
         self._check_built()
         self._check_mutable("insert_batch")
-        if self._nbr_indptr is not None:
-            raise ConfigurationError(
-                "insert_batch requires precompute_neighbours=False; grouped "
-                "neighbour lists cannot absorb new items"
-            )
         assert self._keys_buf is not None and self._assign_buf is not None
         clusters = np.asarray(clusters, dtype=np.int64)
         if clusters.ndim != 1:
@@ -782,17 +718,11 @@ class BaseClusteredIndex:
         return self._keys_buf[: self._n]
 
     def stats(self) -> IndexStats:
-        """Bucket- and neighbour-level summary statistics."""
+        """Bucket-level summary statistics."""
         self._check_built()
         sizes = np.concatenate(
             [np.unique(column, return_counts=True)[1] for column in self.band_keys.T]
         )
-        if self._nbr_indptr is not None:
-            assert self._group_of is not None
-            lengths = np.diff(self._nbr_indptr)
-            mean_nb = float(lengths[self._group_of].mean())
-        else:
-            mean_nb = float("nan")
         return IndexStats(
             n_items=self.n_items,
             bands=self.bands,
@@ -800,7 +730,6 @@ class BaseClusteredIndex:
             n_buckets=int(len(sizes)),
             mean_bucket_size=float(sizes.mean()),
             max_bucket_size=int(sizes.max()),
-            mean_neighbours=mean_nb,
         )
 
     def _check_built(self) -> None:
@@ -824,13 +753,10 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         Number of bands ``b``.
     rows:
         Rows per band ``r``.  Signatures must have width ``b * r``.
-    precompute_neighbours:
-        If True (default), each item's neighbour list is materialised
-        at build time in the flat CSR storage (see the module
-        docstring).  Queries then cost a couple of numpy gathers.
-        Turn off to keep the index insertable for streaming, or to
-        keep the lists out of a fitted model when buckets are enormous
-        (a fit still builds them once for its own passes).
+
+    Every index accepts inserts until it is frozen.  It stores no
+    neighbour lists; a fit builds its own with
+    :func:`grouped_neighbour_csr` over its band keys.
 
     Examples
     --------
@@ -870,14 +796,13 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         rows: int,
         band_keys: np.ndarray,
         assignments: np.ndarray,
-        precompute_neighbours: bool = True,
     ) -> "ClusteredLSHIndex":
         """Rebuild an index from already-computed ``(n, bands)`` keys.
 
         Band keys fully determine the buckets and neighbour lists, so a
         persisted model only needs to store them (not the signatures)
-        to reconstruct its index — CSR neighbour storage included —
-        exactly; see :func:`repro.data.io.save_model`.
+        to reconstruct its index exactly; see
+        :func:`repro.data.io.save_model`.
         """
         band_keys = np.asarray(band_keys)
         if band_keys.ndim != 2 or band_keys.shape[1] != bands:
@@ -888,7 +813,7 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         assignments = cls._validated_assignments(
             len(band_keys), assignments, "key rows"
         )
-        index = cls(bands, rows, precompute_neighbours=precompute_neighbours)
+        index = cls(bands, rows)
         index._finalise(band_keys.astype(np.uint64, copy=False), assignments)
         return index
 

@@ -41,7 +41,6 @@ copies an insert in the parent could never reach.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import threading
 
 import numpy as np
@@ -141,15 +140,9 @@ class ModelServer:
                     "allow_extend needs a model with an exported index "
                     "(band keys); this artifact carries none"
                 )
-            # Streaming serving: reconstruct with precompute_neighbours
-            # forced off, so the one index _restore_fit_state builds is
-            # already insertable (and stays unfrozen) — no throwaway
-            # neighbour-CSR build, no second rebuild.
-            insertable = dataclasses.replace(
-                model,
-                params={**model.params, "precompute_neighbours": False},
-            )
-            self._estimator = insertable.to_estimator()
+            # Streaming serving: the restored index stays unfrozen, so
+            # extend requests insert into it.
+            self._estimator = model.to_estimator()
         else:
             # The serving estimator: index rebuilt once, then frozen —
             # every worker queries the same read-only structure.

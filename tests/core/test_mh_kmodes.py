@@ -5,8 +5,10 @@ import pytest
 
 from repro.api import LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
+from repro.core.shortlist import ShortlistAccumulator
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.kmodes.kmodes import KModes
+from repro.lsh.index import grouped_neighbour_csr
 from repro.metrics.purity import cluster_purity
 
 
@@ -86,20 +88,47 @@ class TestShortlistBehaviour:
         ).fit(ds.X)
         assert cluster_purity(model.labels_, ds.labels) > 0.7
 
-    def test_no_precompute_matches_precompute(self, small_planted_dataset):
+    @pytest.mark.parametrize("update_refs", ["online", "batch"])
+    def test_pass_over_the_session_lists_matches_candidate_lookups(
+        self, small_planted_dataset, update_refs
+    ):
+        # The pass walks slices of the grouped CSR a fit session builds;
+        # they must be the index's candidate lists, so the pass equals
+        # Algorithm 2 looking every item's candidates up in the index.
         ds = small_planted_dataset
-        init = ds.X[:8].copy()
-        fast = MHKModes(
+        model = MHKModes(
             n_clusters=8,
             lsh=LSHSpec(bands=10, rows=2, seed=0),
-            precompute_neighbours=True,
-        ).fit(ds.X, initial_centroids=init)
-        slow = MHKModes(
-            n_clusters=8,
-            lsh=LSHSpec(bands=10, rows=2, seed=0),
-            precompute_neighbours=False,
-        ).fit(ds.X, initial_centroids=init)
-        assert np.array_equal(fast.labels_, slow.labels_)
+            train=TrainSpec(max_iter=1, update_refs=update_refs),
+        ).fit(ds.X)
+        index, centroids = model.index_, model.centroids_
+        start = np.random.default_rng(3).integers(0, 8, ds.n_items)
+
+        expected = start.copy()
+        working = expected if update_refs == "online" else start
+        expected_moves = expected_total = 0
+        for i in range(ds.n_items):
+            shortlist = np.unique(working[index.candidate_items(i)])
+            expected_total += len(shortlist)
+            distances = np.count_nonzero(centroids[shortlist] != ds.X[i], axis=1)
+            current = np.searchsorted(shortlist, working[i])
+            if distances[current] > distances.min():
+                expected[i] = shortlist[np.argmin(distances)]
+                expected_moves += 1
+
+        accumulator = ShortlistAccumulator()
+        labels, moves = model._shortlist_pass(
+            ds.X,
+            centroids,
+            start.copy(),
+            index,
+            grouped_neighbour_csr(index.band_keys),
+            accumulator,
+        )
+        assert expected_moves > 0
+        assert moves == expected_moves
+        assert accumulator.mean() == expected_total / ds.n_items
+        assert np.array_equal(labels, expected)
 
 
 class TestFixedInitialisationProtocol:

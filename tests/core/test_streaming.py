@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import LSHSpec
+from repro.core.mh_kmodes import MHKModes
 from repro.core.streaming import ClusterModeTracker, StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
@@ -161,24 +162,22 @@ class TestStreamingMHKModes:
         with pytest.raises(ConfigurationError):
             StreamingMHKModes(n_clusters=2, stream_fallback="drop")
 
-    def test_index_insert_requires_no_precompute(self, stream_data):
-        from repro.lsh.index import ClusteredLSHIndex
-        from repro.lsh.minhash import MinHasher
-        from repro.lsh.tokens import TokenSets
-
-        ts = TokenSets.from_lists([[1, 2], [3, 4]])
-        sigs = MinHasher(8, seed=0).signatures(ts)
-        frozen = ClusteredLSHIndex(4, 2, precompute_neighbours=True).build(
-            sigs, np.array([0, 1])
+    def test_index_of_a_plain_fit_takes_inserts(self, stream_data):
+        # The index stores no neighbour lists, so a default fit's index
+        # grows the way the streaming model's own does.
+        data, split = stream_data
+        model = MHKModes(n_clusters=12, lsh=LSHSpec(bands=20, rows=2, seed=0)).fit(
+            data.X[:split]
         )
-        with pytest.raises(ConfigurationError):
-            frozen.insert(sigs[0], 0)
-        insertable = ClusteredLSHIndex(4, 2, precompute_neighbours=False).build(
-            sigs, np.array([0, 1])
-        )
-        new_id = insertable.insert(sigs[0], 7)
-        assert new_id == 2
-        assert 7 in insertable.candidate_clusters(0).tolist()
+        index = model.index_
+        signatures = model._signatures(data.X[split : split + 5])
+        ids = index.insert_batch(signatures, np.full(5, 7))
+        assert ids.tolist() == list(range(split, split + 5))
+        assert index.insert(signatures[0], 3) == split + 5
+        assert index.n_items == split + 6
+        for item in ids:
+            assert 7 in index.candidate_clusters(int(item)).tolist()
+        assert {3, 7} <= set(index.candidate_clusters(split + 5).tolist())
 
 
 class TestBatchExtendPipeline:

@@ -5,13 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import EngineSpec, LSHSpec, TrainSpec
+import repro.engine.parallel as parallel_module
+import repro.lsh.index as index_module
+from repro.api import EngineSpec, LSHSpec, ServeSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.data.io import load_cluster_model, load_model, save_model
 from repro.exceptions import DataValidationError, NotFittedError
 from repro.kmeans.mh_kmeans import LSHKMeans
 from repro.kmodes.kmodes import KModes
+from repro.lsh.index import ClusteredLSHIndex
+from repro.serve.server import ModelServer
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +66,47 @@ class TestMHKModesRoundTrip:
         loaded = load_model(save_model(model, tmp_path / "model"))
         assert np.array_equal(loaded.predict(novel.X), model.predict(novel.X))
 
-    def test_neighbour_csr_survives_reload(self, categorical, tmp_path):
-        # band keys fully determine the flat CSR neighbour storage, so
-        # the reloaded index must reproduce it array for array
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_sidecar_with_retired_neighbour_precompute_loads(
+        self, categorical, novel, tmp_path, stored
+    ):
+        # Sidecars saved while the index could store neighbour lists
+        # carry a "precompute_neighbours" param; it never changed a
+        # label, so loading drops it and predicts bit-identically.
         model = MHKModes(
             n_clusters=8,
             lsh=LSHSpec(bands=8, rows=2, seed=7),
         ).fit(categorical.X)
-        loaded = load_model(save_model(model, tmp_path / "model"))
-        original = model.index_.neighbour_csr()
-        rebuilt = loaded.index_.neighbour_csr()
-        assert original is not None and rebuilt is not None
-        for left, right in zip(original, rebuilt):
-            assert np.array_equal(left, right)
+        path = save_model(model, tmp_path / "old")
+        sidecar_path = path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["params"]["precompute_neighbours"] = stored
+        sidecar_path.write_text(json.dumps(sidecar))
+        artifact = load_cluster_model(path)
+        assert "precompute_neighbours" not in artifact.params
+        expected = model.predict(novel.X)
+        assert np.array_equal(artifact.predict(novel.X), expected)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.predict(novel.X), expected)
+        assert np.array_equal(loaded.index_.band_keys, model.index_.band_keys)
+        assert np.array_equal(loaded.index_.assignments, model.index_.assignments)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: MHKModes(n_clusters=8, **kw),
+            lambda **kw: LSHKMeans(n_clusters=8, **kw),
+            lambda **kw: ClusteredLSHIndex(8, 2, **kw),
+            lambda **kw: ClusteredLSHIndex.from_band_keys(
+                8, 2, np.zeros((3, 8), dtype=np.uint64), np.zeros(3), **kw
+            ),
+        ],
+        ids=["MHKModes", "LSHKMeans", "ClusteredLSHIndex", "from_band_keys"],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_precompute_neighbours_is_no_parameter(self, make, value):
+        with pytest.raises(TypeError, match="precompute_neighbours"):
+            make(precompute_neighbours=value)
 
     def test_sidecar_with_retired_shard_count_loads(
         self, categorical, novel, tmp_path
@@ -111,6 +143,34 @@ class TestMHKModesRoundTrip:
         assert sidecar["specs"]["lsh"]["bands"] == 8
         assert sidecar["specs"]["engine"]["backend"] == "serial"
         assert sidecar["specs"]["train"]["max_iter"] == 100
+
+
+class TestRestoreBuildsNoNeighbourLists:
+    """Only a fit walks neighbour lists; restoring a model builds none."""
+
+    def test_restores_predict_without_neighbour_lists(
+        self, categorical, novel, tmp_path, monkeypatch
+    ):
+        model = MHKModes(
+            n_clusters=8,
+            lsh=LSHSpec(bands=8, rows=2, seed=7),
+        ).fit(categorical.X)
+        expected = model.predict(novel.X)
+        path = save_model(model, tmp_path / "model")
+
+        def refuse(band_keys):
+            raise AssertionError("restoring a model built neighbour lists")
+
+        for module in (index_module, parallel_module):
+            monkeypatch.setattr(module, "grouped_neighbour_csr", refuse)
+        artifact = load_cluster_model(path)
+        assert np.array_equal(artifact.frozen_estimator().predict(novel.X), expected)
+        assert np.array_equal(load_model(path).predict(novel.X), expected)
+        with ModelServer(artifact) as server:
+            assert np.array_equal(server.predict(novel.X), expected)
+        with ModelServer(artifact, ServeSpec(allow_extend=True)) as server:
+            assert np.array_equal(server.predict(novel.X), expected)
+            assert np.array_equal(server.extend(novel.X), expected)
 
 
 class TestOtherEstimators:

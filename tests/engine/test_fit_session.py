@@ -5,19 +5,23 @@ and every post-open array reaching process workers through zero-copy
 or shared-memory transport — never through per-task pickles.
 """
 
+import hashlib
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+import repro.engine.parallel as parallel_module
 from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
+from repro.core.streaming import StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.engine import (
     ClusteringEngine,
@@ -28,6 +32,7 @@ from repro.engine import (
     resolve_array,
 )
 from repro.engine.parallel import backend_from_spec
+from repro.lsh.index import BaseClusteredIndex, grouped_neighbour_csr
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +203,93 @@ class TestSerialBatchVectorised:
         assert (
             fast.stats_.shortlist_sizes == reference.stats_.shortlist_sizes
         )
+
+
+def _fit_kind(kind: str, X: np.ndarray):
+    """One of the fits ``TestSessionOwnsNeighbourLists`` checks."""
+    lsh = LSHSpec(bands=8, rows=1, seed=0)
+    train = TrainSpec(
+        max_iter=10, update_refs="batch" if kind.startswith("batch") else None
+    )
+    if kind == "stream-bootstrap":
+        stream = StreamingMHKModes(n_clusters=10, lsh=lsh, train=train)
+        return stream.bootstrap(X)._bootstrap_model
+    engine = {
+        "batch-thread": THREAD_X2,
+        "batch-process": EngineSpec(backend="process", n_jobs=2),
+    }.get(kind, EngineSpec())
+    return MHKModes(n_clusters=10, lsh=lsh, engine=engine, train=train).fit(X)
+
+
+def _moving_items() -> np.ndarray:
+    """Items whose online and batch passes move over several iterations,
+    and end on different labels."""
+    return (
+        RuleBasedGenerator(
+            n_clusters=10, n_attributes=12, domain_size=300, noise_rate=0.35, seed=6
+        )
+        .generate(240)
+        .X
+    )
+
+
+class TestSessionOwnsNeighbourLists:
+    """A fit walks the neighbour lists its session builds once.
+
+    The index answers no per-item neighbour lookup during a fit and
+    stores no lists of its own; the session builds one grouped CSR
+    right after the index.  ``PARENT_LABELS`` holds digests of the labels
+    these fits ended with when the online pass still looked neighbours
+    up item by item (streaming bootstrap) or read lists stored in the
+    index (the others); walking the session's lists changes none.
+    """
+
+    #: sha256 prefixes of the little-endian int64 labels.
+    PARENT_LABELS = {
+        "stream-bootstrap": "b8169969fcdc8a52",
+        "online": "b8169969fcdc8a52",
+        "batch": "8a15bd232ad1e944",
+        "batch-thread": "8a15bd232ad1e944",
+        "batch-process": "8a15bd232ad1e944",
+    }
+
+    #: Added to the list build, to see which phase its time lands in.
+    BUILD_DELAY_S = 0.25
+
+    @pytest.mark.parametrize("kind", list(PARENT_LABELS))
+    def test_fit_walks_the_lists_its_session_builds(self, kind, monkeypatch):
+        X = _moving_items()
+
+        def refuse(index, item):
+            raise AssertionError("a fit looked up a neighbour list item by item")
+
+        built = []
+
+        def build(band_keys):
+            built.append(len(band_keys))
+            return grouped_neighbour_csr(band_keys)
+
+        monkeypatch.setattr(BaseClusteredIndex, "candidate_items", refuse)
+        monkeypatch.setattr(parallel_module, "grouped_neighbour_csr", build)
+        model = _fit_kind(kind, X)
+        assert model.n_iter_ > 2
+        assert built == [len(X)]  # once per fit, by the session
+        digest = hashlib.sha256(model.labels_.astype("<i8").tobytes()).hexdigest()
+        assert digest[:16] == self.PARENT_LABELS[kind]
+
+    @pytest.mark.parametrize("kind", list(PARENT_LABELS))
+    def test_lists_are_built_in_the_indexing_setup(self, kind, monkeypatch):
+        # The lists are part of the paper's one-off indexing step: their
+        # build is charged to the index_build phase and to setup, never
+        # to an iteration.
+        def slow_build(band_keys):
+            time.sleep(self.BUILD_DELAY_S)
+            return grouped_neighbour_csr(band_keys)
+
+        monkeypatch.setattr(parallel_module, "grouped_neighbour_csr", slow_build)
+        stats = _fit_kind(kind, _moving_items()).stats_
+        assert stats.phase_s["index_build"] >= self.BUILD_DELAY_S
+        assert stats.setup_s >= self.BUILD_DELAY_S
 
 
 class TestSharedMemoryTransport:

@@ -11,16 +11,18 @@ the band keys alone:
   items sharing one of its band keys;
 * bucket statistics count the distinct ``(band, key)`` pairs.
 
-It runs against every construction route (``build`` with and without
-precomputed neighbours, and ``from_band_keys``), so the neighbour-CSR
-fast path and the bucket walk answer the same question, and against
-three band/row splits of the same signatures, so both extremes of the
-S-curve are held to the definition too.  Growth is held to it as well:
-inserts and queries interleaved across two merges of the delta segment
-into the main one, statistics over main, delta and tail, a frozen index
-after inserts, a pickle round trip with a pending delta, and one 64-bit
-key value planted in two bands, which must not make a collision.  Any
-future index layout must pass it unchanged.
+It runs against both construction routes (``build`` from signatures,
+and ``from_band_keys``, which every restore and the streaming server
+use before inserting), and against three band/row splits of the same
+signatures, so both extremes of the S-curve are held to the definition
+too.  The grouped neighbour CSR a fit walks
+(:func:`~repro.lsh.index.grouped_neighbour_csr` over the band keys) is
+held to the same reference, before and after inserts.  Growth is held
+to it as well: inserts and queries interleaved across two merges of the
+delta segment into the main one, statistics over main, delta and tail,
+a frozen index after inserts, a pickle round trip with a pending delta,
+and one 64-bit key value planted in two bands, which must not make a
+collision.  Any future index layout must pass it unchanged.
 """
 
 import pickle
@@ -30,7 +32,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.lsh.bands import compute_band_keys
-from repro.lsh.index import TAIL_ITEMS, BaseClusteredIndex, ClusteredLSHIndex
+from repro.lsh.index import (
+    TAIL_ITEMS,
+    BaseClusteredIndex,
+    ClusteredLSHIndex,
+    grouped_neighbour_csr,
+)
 from repro.lsh.minhash import MinHasher
 from repro.lsh.tokens import TokenSets
 
@@ -53,23 +60,16 @@ def _build(shape, signatures, assignments):
     return ClusteredLSHIndex(*shape).build(signatures, assignments)
 
 
-def _build_walk(shape, signatures, assignments):
-    return ClusteredLSHIndex(*shape, precompute_neighbours=False).build(
-        signatures, assignments
-    )
-
-
 def _from_band_keys(shape, signatures, assignments):
     return ClusteredLSHIndex.from_band_keys(
         *shape, compute_band_keys(signatures, *shape), assignments
     )
 
 
-PRECOMPUTED = [
+ROUTES = [
     pytest.param(_build, id="build"),
     pytest.param(_from_band_keys, id="from-band-keys"),
 ]
-ROUTES = PRECOMPUTED + [pytest.param(_build_walk, id="build-bucket-walk")]
 
 
 # ----------------------------------------------------------------------
@@ -115,11 +115,24 @@ def assert_matches_brute_force(index, keys, assignments, n_hashes=N_HASHES):
     assert stats.n_buckets == len(sizes)
     assert stats.mean_bucket_size == float(sizes.mean())
     assert stats.max_bucket_size == int(sizes.max())
-    if index.precompute_neighbours:
-        lengths = np.array([len(c) for c in candidates], dtype=np.int64)
-        assert stats.mean_neighbours == float(lengths.mean())
-    else:
-        assert np.isnan(stats.mean_neighbours)
+
+
+def assert_csr_matches_brute_force(keys):
+    """The grouped neighbour CSR of ``keys`` lists every item's candidates."""
+    group_of, indptr, indices = grouped_neighbour_csr(keys)
+    assert len(group_of) == len(keys)
+    assert np.all(np.diff(indptr) >= 0)
+    assert indptr[0] == 0 and indptr[-1] == len(indices)
+    for item, expected in enumerate(brute_candidates(keys)):
+        group = group_of[item]
+        assert np.array_equal(indices[indptr[group] : indptr[group + 1]], expected)
+    # items share a group exactly when their key rows are equal (the
+    # fixture's duplicated tail among them)
+    _, first_of_row, row_of = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    assert np.array_equal(group_of, group_of[first_of_row][row_of.ravel()])
+    assert len(indptr) - 1 == len(first_of_row)
 
 
 # ----------------------------------------------------------------------
@@ -246,33 +259,20 @@ class TestQuerySurface:
     ):
         built = make(shape, signatures, assignments)
         rebuilt = ClusteredLSHIndex.from_band_keys(
-            *shape,
-            built.band_keys,
-            assignments,
-            precompute_neighbours=built.precompute_neighbours,
+            *shape, built.band_keys, assignments
         )
         assert_matches_brute_force(rebuilt, keys, assignments)
 
 
-@pytest.mark.parametrize("make", PRECOMPUTED)
-def test_neighbour_csr_consistent_with_candidates(
-    make, shape, signatures, assignments
-):
-    index = make(shape, signatures, assignments)
-    group_of, indptr, indices = index.neighbour_csr()
-    assert len(group_of) == len(assignments)
-    assert np.all(np.diff(indptr) >= 0)
-    assert indptr[-1] == len(indices)
-    _, group_neighbours = index.neighbour_groups()
-    for item in range(len(assignments)):
-        group = group_of[item]
-        span = indices[indptr[group] : indptr[group + 1]]
-        assert item in span
-        assert np.array_equal(span, index.candidate_items(item))
-        assert np.array_equal(group_neighbours[group], span)
-    # the duplicated tail shares its originals' groups
-    n = len(assignments)
-    assert np.array_equal(group_of[n - 5 :], group_of[:5])
+def test_grouped_neighbour_csr_matches_brute_force(shape, signatures, keys, probes):
+    # The CSR is a function of the band keys alone; inserts append rows
+    # to them (``TestInsertSurface`` holds the index to that).
+    assert_csr_matches_brute_force(keys)
+    # after inserts: novel rows and copies of indexed ones
+    arrivals = np.vstack([probes, signatures[:20], signatures[7:8]])
+    assert_csr_matches_brute_force(
+        np.vstack([keys, compute_band_keys(arrivals, *shape)])
+    )
 
 
 class TestValidation:
@@ -302,21 +302,12 @@ class TestValidation:
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("make", ROUTES)
 class TestInsertSurface:
-    @pytest.mark.parametrize("make", PRECOMPUTED)
-    def test_insert_rejected_with_precomputed_neighbours(
-        self, make, shape, signatures, assignments
+    def test_streamed_inserts_grow_and_answer_queries(
+        self, make, shape, signatures, keys, assignments
     ):
         index = make(shape, signatures, assignments)
-        with pytest.raises(ConfigurationError):
-            index.insert(signatures[0], cluster=1)
-        with pytest.raises(ConfigurationError):
-            index.insert_batch(signatures[:2], np.array([0, 1]))
-
-    def test_streamed_inserts_grow_and_answer_queries(
-        self, shape, signatures, keys, assignments
-    ):
-        index = _build_walk(shape, signatures, assignments)
         n = len(assignments)
         n_inserts = 300
         inserted = np.array([100 + (i % 5) for i in range(n_inserts)])
@@ -331,9 +322,9 @@ class TestInsertSurface:
         )
 
     def test_insert_batch_matches_brute_force(
-        self, shape, signatures, keys, assignments, probes
+        self, make, shape, signatures, keys, assignments, probes
     ):
-        index = _build_walk(shape, signatures, assignments)
+        index = make(shape, signatures, assignments)
         arrivals = np.vstack([probes, signatures[10:20]])
         clusters = np.arange(len(arrivals), dtype=np.int64) % 7 + 20
         ids = index.insert_batch(arrivals, clusters)
@@ -348,8 +339,10 @@ class TestInsertSurface:
                 brute_shortlist(grown_keys, grown_assignments, row_keys),
             )
 
-    def test_set_assignments_after_inserts(self, shape, signatures, assignments):
-        index = _build_walk(shape, signatures, assignments)
+    def test_set_assignments_after_inserts(
+        self, make, shape, signatures, assignments
+    ):
+        index = make(shape, signatures, assignments)
         index.insert(signatures[0], cluster=9)
         new = np.arange(index.n_items, dtype=np.int64)
         index.set_assignments(new)
@@ -381,13 +374,14 @@ def assert_queries_match(index, keys, assignments, probes, items):
         )
 
 
+@pytest.mark.parametrize("make", ROUTES)
 class TestGrowth:
     """Inserts through the tail and the delta segment, held to the reference."""
 
     def test_interleaved_inserts_and_queries_across_merges(
-        self, shape, signatures, keys, assignments, probes
+        self, make, shape, signatures, keys, assignments, probes
     ):
-        index = _build_walk(shape, signatures, assignments)
+        index = make(shape, signatures, assignments)
         pool = np.vstack([signatures, probes])
         pool_keys = compute_band_keys(pool, *shape)
         rng = np.random.default_rng(17)
@@ -421,9 +415,9 @@ class TestGrowth:
         assert stats.mean_bucket_size == float(sizes.mean())
 
     def test_stats_cover_main_delta_and_tail(
-        self, shape, signatures, keys, assignments, probes
+        self, make, shape, signatures, keys, assignments, probes
     ):
-        index = _build_walk(shape, signatures, assignments)
+        index = make(shape, signatures, assignments)
         index.shortlists_for_signatures(probes[:1])  # build the main segment
         arrivals = np.vstack([probes, signatures[:TAIL_ITEMS]])
         clusters = np.arange(len(arrivals)) % 4
@@ -436,8 +430,10 @@ class TestGrowth:
         grown_assignments = np.concatenate([assignments, clusters, [50, 51, 52]])
         assert_matches_brute_force(index, grown_keys, grown_assignments)
 
-    def test_frozen_after_inserts(self, shape, signatures, keys, assignments, probes):
-        index = _build_walk(shape, signatures, assignments)
+    def test_frozen_after_inserts(
+        self, make, shape, signatures, keys, assignments, probes
+    ):
+        index = make(shape, signatures, assignments)
         index.insert_batch(probes, np.arange(len(probes)) % 3)
         index.insert(signatures[7], cluster=60)
         assert index.freeze() is index
@@ -459,9 +455,9 @@ class TestGrowth:
             index.insert_batch(signatures[:2], np.array([0, 1]))
 
     def test_pickle_round_trip_with_pending_delta(
-        self, shape, signatures, keys, assignments, probes
+        self, make, shape, signatures, keys, assignments, probes
     ):
-        index = _build_walk(shape, signatures, assignments)
+        index = make(shape, signatures, assignments)
         index.shortlists_for_signatures(probes[:1])
         arrivals = np.vstack([probes, signatures[:TAIL_ITEMS]])
         clusters = np.arange(len(arrivals)) % 5
@@ -483,24 +479,24 @@ class TestGrowth:
 
 
 @pytest.mark.parametrize("multi_band", [(4, 3), (12, 1)], ids=["4x3", "12x1"])
-@pytest.mark.parametrize("make", ROUTES)
-def test_equal_key_in_two_bands_is_no_collision(make, multi_band):
-    """One 64-bit value is band 0's key of item 0 and band 1's of item 1."""
+def test_equal_key_in_two_bands_is_no_collision(multi_band):
+    """One 64-bit value is band 0's key of item 0 and band 1's of item 1.
+
+    Planted keys reach the index through ``from_band_keys``; ``build``
+    differs only in computing them, so it would test the same state.
+    The neighbour CSR a fit walks must keep the value apart too.
+    """
     bands, rows = multi_band
     rng = np.random.default_rng(23)
     keys = rng.integers(1, 2**63, size=(6, bands), dtype=np.uint64)
     shared = np.uint64(0x5EED5EED5EED5EED)
     keys[0, 0] = keys[1, 1] = shared
     assignments = np.arange(6, dtype=np.int64)
-    walk = make is _build_walk
-    index = ClusteredLSHIndex.from_band_keys(
-        bands, rows, keys, assignments, precompute_neighbours=not walk
-    )
+    index = ClusteredLSHIndex.from_band_keys(bands, rows, keys, assignments)
     assert index.candidate_items(0).tolist() == [0]
     assert index.candidate_items(1).tolist() == [1]
     assert_matches_brute_force(index, keys, assignments, n_hashes=bands * rows)
-    if not walk:
-        return
+    assert_csr_matches_brute_force(keys)
     # the same value in two more bands, arriving through the delta
     # segment (a batch of TAIL_ITEMS rows) and through the tail
     arrivals = rng.integers(1, 2**63, size=(TAIL_ITEMS + 1, bands), dtype=np.uint64)
@@ -514,3 +510,4 @@ def test_equal_key_in_two_bands_is_no_collision(make, multi_band):
     for item in (0, 1, 6, len(grown) - 1):
         assert index.candidate_items(item).tolist() == [item]
     assert_matches_brute_force(index, grown, grown_assignments, n_hashes=bands * rows)
+    assert_csr_matches_brute_force(grown)

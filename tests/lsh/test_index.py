@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
-from repro.lsh.index import ClusteredLSHIndex
+from repro.lsh.index import ClusteredLSHIndex, grouped_neighbour_csr
 from repro.lsh.minhash import MinHasher
 from repro.lsh.tokens import TokenSets
 
 
-def build_index(bands=8, rows=2, precompute=True):
+def build_index(bands=8, rows=2):
     """Index over 3 near-duplicate pairs + 1 outlier, clusters 0..3."""
     rows_tokens = [
         [1, 2, 3, 4],
@@ -20,7 +20,7 @@ def build_index(bands=8, rows=2, precompute=True):
     ]
     ts = TokenSets.from_lists(rows_tokens)
     sigs = MinHasher(bands * rows, seed=3).signatures(ts)
-    index = ClusteredLSHIndex(bands, rows, precompute_neighbours=precompute)
+    index = ClusteredLSHIndex(bands, rows)
     index.build(sigs, np.array([0, 1, 2, 3, 4]))
     return index
 
@@ -87,25 +87,16 @@ class TestQueries:
         clusters = index.candidate_clusters(0)
         assert set(clusters.tolist()) == {0, 1}
 
-    def test_precompute_matches_on_the_fly(self):
-        fast = build_index(precompute=True)
-        slow = build_index(precompute=False)
-        for i in range(5):
-            assert np.array_equal(fast.candidate_items(i), slow.candidate_items(i))
-
-    def test_neighbour_groups_only_when_precomputed(self):
-        assert build_index(precompute=True).neighbour_groups() is not None
-        assert build_index(precompute=False).neighbour_groups() is None
-
     def test_identical_signatures_share_group(self):
         ts = TokenSets.from_lists([[1, 2], [1, 2], [50, 60]])
         sigs = MinHasher(8, seed=0).signatures(ts)
         index = ClusteredLSHIndex(4, 2).build(sigs, np.arange(3))
-        groups = index.neighbour_groups()
-        assert groups is not None
-        group_of, _ = groups
+        group_of, indptr, indices = grouped_neighbour_csr(index.band_keys)
         assert group_of[0] == group_of[1]
         assert group_of[0] != group_of[2]
+        assert len(indptr) == 3  # two groups
+        shared = indices[indptr[group_of[0]] : indptr[group_of[0] + 1]]
+        assert shared.tolist() == [0, 1]
 
     def test_candidates_sorted_unique(self):
         index = build_index()
@@ -176,11 +167,6 @@ class TestStats:
         assert stats.n_buckets > 0
         assert stats.max_bucket_size >= 1
         assert stats.mean_bucket_size > 0
-        assert stats.mean_neighbours >= 1.0
-
-    def test_mean_neighbours_nan_without_precompute(self):
-        stats = build_index(precompute=False).stats()
-        assert np.isnan(stats.mean_neighbours)
 
     def test_bucket_count_bounded_by_bands_times_items(self):
         index = build_index()
@@ -202,9 +188,7 @@ class TestInsertBatch:
     def _fresh_pair(self):
         sigs = self._signatures(12, 16)
         assignments = np.arange(12) % 4
-        make = lambda: ClusteredLSHIndex(
-            8, 2, precompute_neighbours=False
-        ).build(sigs, assignments)
+        make = lambda: ClusteredLSHIndex(8, 2).build(sigs, assignments)
         return make(), make()
 
     def test_matches_sequential_insert(self):
@@ -248,21 +232,15 @@ class TestInsertBatch:
         assert ids.shape == (0,)
         assert index.n_items == 12
 
-    def test_rejects_precomputed_neighbours(self):
-        index = build_index(precompute=True)
-        sigs = self._signatures(2, 16)
-        with pytest.raises(ConfigurationError):
-            index.insert_batch(sigs, np.array([0, 1]))
-
     def test_rejects_frozen_index(self):
-        index = build_index(precompute=False)
+        index = build_index()
         index.freeze()
         sigs = self._signatures(2, 16)
         with pytest.raises(ConfigurationError):
             index.insert_batch(sigs, np.array([0, 1]))
 
     def test_validates_shapes(self):
-        index = build_index(precompute=False)
+        index = build_index()
         sigs = self._signatures(3, 16)
         with pytest.raises(DataValidationError):
             index.insert_batch(sigs, np.array([0, 1]))  # length mismatch
@@ -274,7 +252,7 @@ class TestInsertBatch:
             )  # wrong band count
 
     def test_growth_stays_amortised_over_many_batches(self):
-        index = build_index(precompute=False)
+        index = build_index()
         for chunk in range(10):
             sigs = self._signatures(7, 16, seed=chunk)
             index.insert_batch(sigs, np.arange(7) % 4)

@@ -18,6 +18,7 @@ from repro.core.streaming import StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.exceptions import ConfigurationError
 from repro.kmeans.mh_kmeans import LSHKMeans
+from repro.lsh.index import grouped_neighbour_csr
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +154,8 @@ class TestVectorisedPassIdentity:
         )
         assert np.array_equal(vectorised.labels_, reference.labels_)
         assert np.array_equal(threaded.labels_, reference.labels_)
-        # the whole clone cohort shares one group in the index CSR
-        group_of, indptr, _ = vectorised.index_.neighbour_csr()
+        # the whole clone cohort shares one group in the fit's CSR
+        group_of, indptr, _ = grouped_neighbour_csr(vectorised.index_.band_keys)
         assert len(np.unique(group_of[:480])) == 4
         assert len(indptr) - 1 == len(np.unique(group_of))
 
@@ -179,7 +180,6 @@ class TestVectorisedPassIdentity:
             n_clusters=6,
             lsh=LSHSpec(bands=8, rows=1, seed=0),
             train=TrainSpec(update_refs="batch"),
-            precompute_neighbours=False,
         )
         inner._force_per_item_pass = True
         inner.fit(data.X[:200])
@@ -187,8 +187,8 @@ class TestVectorisedPassIdentity:
         threaded.bootstrap(data.X[:200])
         assert np.array_equal(vectorised._bootstrap_model.labels_, inner.labels_)
         assert np.array_equal(threaded._bootstrap_model.labels_, inner.labels_)
-        # the streamed tail (insert + shortlist queries over the CSR-free
-        # insertable index) agrees between backends too
+        # the streamed tail (insert + shortlist queries over the
+        # bootstrap's index) agrees between backends too
         assert np.array_equal(
             vectorised.extend(data.X[200:]), threaded.extend(data.X[200:])
         )
