@@ -23,12 +23,20 @@ timings.  The results merge into ``benchmarks/results/BENCH_serve.json``
 under an ``"slo"`` key (read-modify-write, so the throughput bench's
 sections survive).  ``REPRO_BENCH_SMOKE=1`` (or CI) shrinks the
 workload so the chaos-smoke job finishes in seconds.
+
+The open loop fires from a fixed set of sender threads, started before
+the clock and fed by a scheduler at each request's scheduled time, so
+starting a thread per request never throttles the offered rate.  There
+are as many senders as requests the server can hold blocked (its
+queue plus its in-flight waves) plus a margin; every request's lateness
+against its schedule is recorded, with the achieved rate.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import threading
 import time
 
@@ -53,6 +61,9 @@ OVERLOAD_REQUESTS = 150 if SMOKE else 600
 OVERLOAD_FACTOR = 4.0
 DEADLINE_MS = 500  # the SLO: accepted requests answer within this
 JOIN_GRACE_S = 10.0
+#: Senders beyond the requests the server can hold blocked, so one is
+#: free when a rejection is still on its way back.
+SENDER_MARGIN = 4
 
 
 @pytest.fixture(scope="module")
@@ -150,31 +161,61 @@ def test_overload_holds_slo_and_sheds_load_structurally(overload_server):
     capacity_rps = CALIBRATION_REQUESTS / calibration_s
 
     # -- open loop at 4x: arrivals never wait for completions ------------
+    # A sender blocks while the server holds its request (queued or in
+    # a wave) and the server rejects anything beyond that at once, so
+    # this many senders keep one free at every scheduled time.
     offered_rps = OVERLOAD_FACTOR * capacity_rps
     interval_s = 1.0 / offered_rps
     outcomes: list[dict] = []
     lock = threading.Lock()
-    threads = []
-    start = time.perf_counter()
-    for i in range(OVERLOAD_REQUESTS):
-        scheduled = start + i * interval_s
-        delay = scheduled - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        thread = threading.Thread(
-            target=_fire,
-            args=(server, requests[i % len(requests)], outcomes, lock),
-            daemon=True,
-        )
+    n_senders = spec.resilience.max_queue_depth + clients + SENDER_MARGIN
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+    fired_at: list[float] = []
+    lateness: list[float] = []
+    busy = [False] * n_senders  # a sender holds an unresolved request
+
+    def sender(slot: int) -> None:
+        while (job := jobs.get()) is not None:
+            i, scheduled = job
+            busy[slot] = True
+            fired = time.perf_counter()
+            with lock:
+                fired_at.append(fired)
+                lateness.append(fired - scheduled)
+            _fire(server, requests[i % len(requests)], outcomes, lock)
+            busy[slot] = False
+
+    senders = [
+        threading.Thread(target=sender, args=(slot,), daemon=True)
+        for slot in range(n_senders)
+    ]
+    for thread in senders:
         thread.start()
-        threads.append(thread)
+    start = time.perf_counter()
+    try:
+        for i in range(OVERLOAD_REQUESTS):
+            scheduled = start + i * interval_s
+            delay = scheduled - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            jobs.put((i, scheduled))
+    finally:
+        for _ in senders:
+            jobs.put(None)
     drive_s = time.perf_counter() - start
 
-    hung = 0
     join_deadline = time.monotonic() + JOIN_GRACE_S
-    for thread in threads:
+    for thread in senders:
         thread.join(timeout=max(0.0, join_deadline - time.monotonic()))
-        hung += thread.is_alive()
+    hung = sum(
+        busy[slot] for slot, thread in enumerate(senders) if thread.is_alive()
+    )
+    achieved_rps = (
+        (len(fired_at) - 1) / (max(fired_at) - start)
+        if len(fired_at) > 1
+        else 0.0
+    )
+    lateness.sort()
 
     # -- classify --------------------------------------------------------
     by_code: dict[str, int] = {}
@@ -199,9 +240,15 @@ def test_overload_holds_slo_and_sheds_load_structurally(overload_server):
         "calibration_clients": clients,
         "capacity_rps": round(capacity_rps, 1),
         "offered_rps": round(offered_rps, 1),
+        "achieved_rps": round(achieved_rps, 1),
         "overload_factor": OVERLOAD_FACTOR,
         "requests_fired": OVERLOAD_REQUESTS,
+        "senders": n_senders,
         "drive_window_s": round(drive_s, 3),
+        "lateness_s": {
+            "p95": round(percentile(lateness, 0.95) or 0.0, 4),
+            "max": round(lateness[-1], 4) if lateness else None,
+        },
         "outcomes": by_code,
         "accepted": len(accepted),
         "rejected": len(rejected),
@@ -238,7 +285,12 @@ def test_overload_holds_slo_and_sheds_load_structurally(overload_server):
     # Admission control at 4x offered load must actually shed requests;
     # a server that absorbed everything was never overloaded (the
     # calibration would be wrong, not the server heroic).
-    assert rejected, "4x overload produced zero rejections"
+    assert rejected, (
+        "4x overload produced zero rejections (offered "
+        f"{offered_rps:.0f} rps, achieved {achieved_rps:.0f} rps, lateness "
+        f"p95 {record_slo['lateness_s']['p95']:.4f} s, max "
+        f"{record_slo['lateness_s']['max']} s)"
+    )
     # Every rejection is immediate or deadline-bounded: no rejection
     # may take longer than deadline + scheduling slack.
     worst_rejection_s = max(o["latency_s"] for o in rejected)

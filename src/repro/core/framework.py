@@ -415,13 +415,9 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
                 with phases.span(
                     "signatures", kernels=kernels.active_backend()
                 ):
-                    signatures = session.compute_signatures()
+                    band_keys = session.band_keys()
                 with phases.span("index_build"):
-                    index = session.build_index(signatures, labels)
-                # Nothing reads the signatures after the build; releasing
-                # them keeps the mode update's counts under the build's
-                # memory high-water mark.
-                del signatures
+                    index = session.build_index(band_keys, labels)
                 centroids = self._update_centroids(X, labels, centroids, rng)
             stats.setup_s = setup_timer.elapsed_s + session.open_s
             stats.phase_s["session_open"] = session.open_s

@@ -10,9 +10,12 @@ exhaustive setup pass to the last iteration:
   own ``_exhaustive_assign`` kernel, merged by concatenation;
 * **signatures** — row chunks through ``_signatures`` after the model
   has frozen any data-dependent encoding state (``_prepare_signatures``
-  runs at session open, *before* process workers snapshot the model);
-* **index build** — in-process on every backend, into the one
-  :class:`~repro.lsh.index.ClusteredLSHIndex` layout;
+  runs at session open, *before* process workers snapshot the model).
+  Each chunk is banded where it was hashed and returns its
+  ``(n, bands)`` bucket keys, not its ``(n, bands * rows)``
+  signatures, so the signature matrix never reaches the parent;
+* **index build** — in-process on every backend, from those keys into
+  the one :class:`~repro.lsh.index.ClusteredLSHIndex` layout;
 * **assignment passes** — the per-iteration hot loop.
 
 The session owns the fit's neighbour lists: ``build_index`` builds
@@ -55,6 +58,7 @@ from repro.engine.pool import PersistentPool
 from repro.engine.shared import SharedArray, resolve_array
 from repro.obs import span as trace_span
 from repro.obs import traced
+from repro.lsh.bands import compute_band_keys
 from repro.lsh.index import ClusteredLSHIndex, grouped_neighbour_csr
 
 __all__ = ["ClusteringEngine", "backend_from_spec", "resolve_engine"]
@@ -87,13 +91,18 @@ def _exhaustive_chunk(
     return chunk_labels
 
 
+def _band_keys(model, X: np.ndarray) -> np.ndarray:
+    """The ``(n, bands)`` bucket keys of ``X``'s signatures."""
+    return compute_band_keys(model._signatures(X), model.bands, model.rows)
+
+
 @traced("fit.signature_chunk")
 def _signature_chunk(static: tuple, dynamic: None, span: tuple[int, int]) -> np.ndarray:
-    """Signatures of one row span (encoding state already frozen)."""
+    """Band keys of one row span (encoding state already frozen)."""
     model, x_ref = static
     X = resolve_array(x_ref)
     start, stop = span
-    return model._signatures(X[start:stop])
+    return _band_keys(model, X[start:stop])
 
 
 def best_shortlisted_centroids(
@@ -253,10 +262,10 @@ def _assignment_chunk(
 
 
 def _build_index(
-    model, signatures: np.ndarray, labels: np.ndarray
+    model, band_keys: np.ndarray, labels: np.ndarray
 ) -> ClusteredLSHIndex:
     """The fit's clustered index, built in-process on any backend."""
-    return ClusteredLSHIndex(model.bands, model.rows).build(signatures, labels)
+    return ClusteredLSHIndex.from_band_keys(model.bands, model.rows, band_keys, labels)
 
 
 class _SerialFitSession:
@@ -290,13 +299,13 @@ class _SerialFitSession:
     ) -> tuple[np.ndarray, int]:
         return self._model._exhaustive_assign(self._X, centroids, labels)
 
-    def compute_signatures(self) -> np.ndarray:
-        return self._model._signatures(self._X)
+    def band_keys(self) -> np.ndarray:
+        return _band_keys(self._model, self._X)
 
     def build_index(
-        self, signatures: np.ndarray, labels: np.ndarray
+        self, band_keys: np.ndarray, labels: np.ndarray
     ) -> ClusteredLSHIndex:
-        self._index = _build_index(self._model, signatures, labels)
+        self._index = _build_index(self._model, band_keys, labels)
         self._csr = grouped_neighbour_csr(self._index.band_keys)
         return self._index
 
@@ -384,16 +393,16 @@ class _ParallelFitSession:
         moves = int(np.count_nonzero(new_labels != labels))
         return new_labels, moves
 
-    def compute_signatures(self) -> np.ndarray:
+    def band_keys(self) -> np.ndarray:
         spans = chunk_ranges(self._n, self._backend.n_jobs)
         return np.concatenate(self._pool.run(_signature_chunk, spans))
 
     def build_index(
-        self, signatures: np.ndarray, labels: np.ndarray
+        self, band_keys: np.ndarray, labels: np.ndarray
     ) -> ClusteredLSHIndex:
         # In the parent, as a serial fit: the workers only ever read
         # the neighbour CSR built from it.
-        self._index = _build_index(self._model, signatures, labels)
+        self._index = _build_index(self._model, band_keys, labels)
         self._csr_refs = tuple(
             self._share(part)
             for part in grouped_neighbour_csr(self._index.band_keys)
@@ -417,7 +426,8 @@ class _ParallelFitSession:
         return new_labels, moves
 
     def close(self) -> None:
-        self._pool.close()
+        with trace_span("fit.session_close", backend=self._backend.name):
+            self._pool.close()
 
 
 EngineFitSession = _SerialFitSession | _ParallelFitSession

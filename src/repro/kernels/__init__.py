@@ -1,10 +1,13 @@
 """repro.kernels — compiled hot-path kernels with NumPy fallbacks.
 
-The profile in ``benchmarks/results/BENCH_stream.json`` puts ~70% of
-the extend wall clock in two kernels: the ragged MinHash signature
-computation (:mod:`repro.lsh.minhash`) and the mode-count tensor
-update (:mod:`repro.core.streaming`).  This package provides compiled
-implementations of both behind a single selection seam:
+Two loops sit under every hot path: the ragged MinHash signature
+computation (:mod:`repro.lsh.minhash`), which every fit, extend and
+predict runs over its rows, and the mode-count tensor update of the
+stream tracker's dense route (:mod:`repro.core.streaming`).  The
+benchmark's traced runs report their cost per operation as the
+``kernels.minhash_s`` and ``kernels.count_update_s`` layers
+(``perfbench/``).  This package provides compiled implementations of
+both behind a single selection seam:
 
 ``minhash_signatures(indices, indptr, a, b, empty_slot)``
     CSR MinHash — one walk per item over its token list.
@@ -18,8 +21,11 @@ Two backends, chosen under ``REPRO_KERNELS=auto`` (default):
 ``c``
     The shipped C source (``_kernels.c``) compiled on demand with the
     system C compiler and driven through :mod:`ctypes`
-    (:mod:`repro.kernels._cbuild`).  Single-threaded: row parallelism
-    comes from the engine backends, which split items across workers.
+    (:mod:`repro.kernels._cbuild`).  The MinHash loop runs on 32-bit
+    lanes, and on x86-64 glibc builds the dynamic loader picks its
+    AVX-512, AVX2 or baseline clone for the CPU at load time.
+    Single-threaded: row parallelism comes from the engine backends,
+    which split items across workers.
 ``numpy``
     The vectorised fallback (:mod:`repro.kernels._numpy`) — always
     available, and the conformance oracle for the compiled tier

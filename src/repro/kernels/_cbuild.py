@@ -12,9 +12,14 @@ library under a cache directory and loads it with :mod:`ctypes`:
   converge on one artifact;
 * the build lands via an atomic rename — racing processes may both
   compile, but the loaded library is always complete;
-* the library is single-threaded (plain ``-O3``): row parallelism is
-  the engine backends' job, and a thread team started in a parent
-  process would not survive the ``fork`` of its pool workers;
+* the flags are ``-O3 -fPIC -shared`` and nothing else: the MinHash
+  loop carries its own AVX-512/AVX2/baseline clones on x86-64 glibc
+  builds, which the dynamic loader chooses between when the library
+  loads (see ``_kernels.c``), so one artifact serves every CPU that
+  shares the cache;
+* the library is single-threaded: row parallelism is the engine
+  backends' job, and a thread team started in a parent process would
+  not survive the ``fork`` of its pool workers;
 * any failure (no compiler, sandboxed tmpdir, bad flags) raises
   :class:`KernelBuildError`, which the selector in
   :mod:`repro.kernels` turns into the NumPy fallback plus one warning.
@@ -68,11 +73,13 @@ def _compiler() -> str:
     return os.environ.get("CC", "cc")
 
 
-def _compile(source_path: Path, target: Path) -> None:
+def _compile(
+    source_path: Path, target: Path, flags: tuple[str, ...] = _FLAGS
+) -> None:
     """Compile ``source_path`` into ``target`` (atomic via rename)."""
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    command = [_compiler(), *_FLAGS, str(source_path), "-o", str(scratch)]
+    command = [_compiler(), *flags, str(source_path), "-o", str(scratch)]
     try:
         result = subprocess.run(
             command, capture_output=True, text=True, timeout=120
@@ -92,13 +99,13 @@ def _compile(source_path: Path, target: Path) -> None:
 
 
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the two entry points' signatures (all int64 scalars/ptrs)."""
+    """Declare the two entry points' signatures (int64 scalars/ptrs)."""
     try:
         signatures = library.repro_minhash_signatures
         counts = library.repro_count_update
     except AttributeError as exc:  # pragma: no cover - corrupt artifact
         raise KernelBuildError(f"compiled library misses a symbol: {exc}")
-    signatures.restype = None
+    signatures.restype = ctypes.c_int
     signatures.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I64, _I64, _I64,
         ctypes.c_int64, _I64,
@@ -155,10 +162,12 @@ def c_minhash_signatures(
         return out
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    library.repro_minhash_signatures(
+    status = library.repro_minhash_signatures(
         n, n_hashes, _ptr(indices), _ptr(indptr), _ptr(a), _ptr(b),
         int(empty_slot), _ptr(out),
     )
+    if status != 0:
+        raise MemoryError(f"MinHash kernel could not allocate {n_hashes} lanes")
     return out
 
 

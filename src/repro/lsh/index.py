@@ -10,14 +10,13 @@ Build phase (run once, after centroid initialisation):
 2. the index stores the key rows and the cluster references.  Item
    neighbour lists (the union of an item's buckets' members) are not
    stored: a fit, where buckets never change, builds them once with
-   :func:`grouped_neighbour_csr` — per band the keys are sorted into
-   bucket runs (:func:`band_runs`), and the lists are gathered from
-   those runs into one flat CSR pair (``indptr``, ``indices``) per
-   *group* of items with identical band-key rows.  Such items occupy
-   exactly the same buckets and share one list, which collapses the
-   pathological case of many identical (or empty) token sets from
-   O(n²) to O(n) work and memory, and the flat layout keeps the
-   per-iteration hot loop free of Python-object traffic.
+   :func:`grouped_neighbour_csr` — one flat CSR pair (``indptr``,
+   ``indices``) per *group* of items with identical band-key rows,
+   gathered from the buckets that two or more groups share.  Items of
+   one group occupy exactly the same buckets and share one list, which
+   collapses the pathological case of many identical (or empty) token
+   sets from O(n²) to O(n) work and memory, and the flat layout keeps
+   the per-iteration hot loop free of Python-object traffic.
 
 Query phase (run once per item per iteration):
 
@@ -74,13 +73,8 @@ __all__ = [
     "ClusteredLSHIndex",
     "IndexStats",
     "TAIL_ITEMS",
-    "band_runs",
-    "group_csr_from_runs",
     "grouped_neighbour_csr",
 ]
-
-#: Per-band bucket runs: ``(bucket_keys, starts, order)``.
-BandRuns = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 #: Inserted items a query scans directly before they are sorted into
 #: the delta segment.  Folding costs O(delta), so this amortises it
@@ -134,72 +128,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
-def band_runs(band_keys: np.ndarray) -> BandRuns:
-    """Sort the ``(n_items, bands)`` band-key matrix into bucket runs.
-
-    Returns one compact ``(bucket_keys, starts, order)`` triple per
-    band: ``order`` holds the item ids sorted by key, and bucket ``i``
-    is ``order[starts[i]:starts[i + 1]]``.
-    """
-    out: BandRuns = []
-    for j in range(band_keys.shape[1]):
-        column = band_keys[:, j]
-        order = np.argsort(column, kind="stable").astype(np.int64)
-        sorted_keys = column[order]
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        starts = np.concatenate([[0], boundaries])
-        out.append((sorted_keys[starts], starts, order))
-    return out
-
-
-def group_csr_from_runs(
-    unique_rows: np.ndarray,
-    runs: BandRuns,
-    n_items: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialise every group's neighbour list as one flat CSR pair.
-
-    Per band, each group's bucket is located with one ``searchsorted``
-    against the sorted bucket keys and gathered as a run of the band's
-    order array; the runs of all bands are deduplicated per group with
-    a single segmented ``np.unique`` over
-    ``group * n_items + member`` keys.  No per-group Python work — this
-    is what makes index construction fast at scale.
-
-    Returns ``(indptr, indices)`` where group ``g``'s sorted distinct
-    neighbours are ``indices[indptr[g]:indptr[g + 1]]``.
-    """
-    n_groups = len(unique_rows)
-    member_parts: list[np.ndarray] = []
-    group_parts: list[np.ndarray] = []
-    group_ids = np.arange(n_groups, dtype=np.int64)
-    for j, (bucket_keys, starts, order) in enumerate(runs):
-        ends = np.concatenate([starts[1:], [len(order)]])
-        pos = np.searchsorted(bucket_keys, unique_rows[:, j])
-        found = np.flatnonzero(
-            (pos < len(bucket_keys))
-            & (bucket_keys[np.minimum(pos, len(bucket_keys) - 1)]
-               == unique_rows[:, j])
-        )
-        if not len(found):
-            continue
-        run_starts = starts[pos[found]]
-        run_lengths = ends[pos[found]] - run_starts
-        member_parts.append(order[_ranges(run_starts, run_lengths)])
-        group_parts.append(np.repeat(group_ids[found], run_lengths))
-    if not member_parts:
-        return np.zeros(n_groups + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    members = np.concatenate(member_parts)
-    groups = np.concatenate(group_parts)
-    uniq = np.unique(groups * n_items + members)
-    u_group = uniq // n_items
-    u_member = uniq - u_group * n_items
-    lengths = np.bincount(u_group, minlength=n_groups)
-    indptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr, u_member
-
-
 def grouped_neighbour_csr(
     band_keys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,12 +136,51 @@ def grouped_neighbour_csr(
     Items with identical band-key rows form one group and share one
     list; item ``i``'s sorted distinct neighbours (itself included)
     are ``indices[indptr[group_of[i]]:indptr[group_of[i] + 1]]``.
+
+    Only buckets shared by two or more groups add anything beyond a
+    group's own members, so the lists are gathered from those alone:
+    per band, one sort of the keys into bucket runs; every distinct
+    group of a run that holds several groups takes that run's members;
+    a single segmented ``np.unique`` over ``group * n + member`` keys
+    deduplicates and orders the lot.  A run's members are expanded once
+    per distinct group in it, never once per member, so a bucket of many
+    identical rows costs O(its size), not O(size²).
     """
+    n = len(band_keys)
     unique_rows, group_of = np.unique(band_keys, axis=0, return_inverse=True)
-    indptr, indices = group_csr_from_runs(
-        unique_rows, band_runs(band_keys), len(band_keys)
-    )
-    return group_of.astype(np.int64).ravel(), indptr, indices
+    group_of = group_of.astype(np.int64).ravel()
+    n_groups = len(unique_rows)
+    group_parts = [group_of]
+    member_parts = [np.arange(n, dtype=np.int64)]
+    for column in band_keys.T:
+        order = np.argsort(column)
+        sorted_keys = column[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        )
+        lengths = np.diff(np.append(starts, n))
+        shared = np.flatnonzero(lengths > 1)
+        if not len(shared):
+            continue
+        # (run, group) for every distinct group of every shared run
+        entries = _ranges(starts[shared], lengths[shared])
+        entry_run = np.repeat(np.arange(len(shared), dtype=np.int64), lengths[shared])
+        pairs = np.unique(entry_run * n_groups + group_of[order[entries]])
+        pair_run = pairs // n_groups
+        # a run of one group adds nothing to that group's own members
+        mixed = np.bincount(pair_run, minlength=len(shared))[pair_run] > 1
+        if not mixed.any():
+            continue
+        pair_run = pair_run[mixed]
+        run = shared[pair_run]
+        member_parts.append(order[_ranges(starts[run], lengths[run])])
+        group_parts.append(np.repeat(pairs[mixed] - pair_run * n_groups, lengths[run]))
+    groups = np.concatenate(group_parts)
+    uniq = np.unique(groups * n + np.concatenate(member_parts))
+    u_group = uniq // n
+    indptr = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u_group, minlength=n_groups), out=indptr[1:])
+    return group_of, indptr, uniq - u_group * n
 
 
 # ----------------------------------------------------------------------

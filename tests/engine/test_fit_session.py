@@ -32,6 +32,7 @@ from repro.engine import (
     resolve_array,
 )
 from repro.engine.parallel import backend_from_spec
+from repro.obs import capture_metrics
 from repro.lsh.index import BaseClusteredIndex, grouped_neighbour_csr
 
 
@@ -107,6 +108,20 @@ class TestOnePoolPerFit:
         assert model.stats_.phase_s["session_open"] >= 0.0
         serial = _fit(X, initial)
         assert serial.stats_.phase_s["session_open"] == 0.0
+
+    def test_pool_teardown_is_one_span(self, workload):
+        """Closing a fit's pool is timed like opening it, once per fit."""
+        X, initial = workload
+        for engine, closes in (
+            (EngineSpec(backend="process", n_jobs=2), 1),
+            (EngineSpec(), 0),
+        ):
+            with capture_metrics() as registry:
+                _fit(X, initial, engine)
+            calls = registry.value(
+                "repro_span_calls_total", {"span": "fit.session_close"}
+            )
+            assert (calls or 0) == closes, engine.backend
 
 
 _KERNEL_THEN_FORK = """

@@ -17,7 +17,10 @@ use before inserting), and against three band/row splits of the same
 signatures, so both extremes of the S-curve are held to the definition
 too.  The grouped neighbour CSR a fit walks
 (:func:`~repro.lsh.index.grouped_neighbour_csr` over the band keys) is
-held to the same reference, before and after inserts.  Growth is held
+held to the same reference, before and after inserts, on buckets that
+hold several distinct groups and on a key matrix of a few rows repeated
+thousands of times, whose builder memory must stay linear in the item
+count.  Growth is held
 to it as well: inserts and queries interleaved across two merges of the
 delta segment into the main one, statistics over main, delta and tail,
 a frozen index after inserts, a pickle round trip with a pending delta,
@@ -26,6 +29,7 @@ collision.  Any future index layout must pass it unchanged.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,3 +515,63 @@ def test_equal_key_in_two_bands_is_no_collision(multi_band):
         assert index.candidate_items(item).tolist() == [item]
     assert_matches_brute_force(index, grown, grown_assignments, n_hashes=bands * rows)
     assert_csr_matches_brute_force(grown)
+
+
+# ----------------------------------------------------------------------
+# neighbour lists over duplicate-heavy keys
+# ----------------------------------------------------------------------
+
+
+def duplicate_heavy_keys(n_rows: int, bands: int = 20, seed: int = 0) -> np.ndarray:
+    """``n_rows`` rows drawn from five key rows, plus four singletons.
+
+    Key rows 0 and 1 share band 0's bucket; key rows 2 and 3 and the
+    first singleton share band 1's, so those buckets hold several
+    distinct groups of thousands of identical rows each.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.integers(1, 2**63, size=(5, bands), dtype=np.uint64)
+    base[1, 0] = base[0, 0]
+    base[3, 1] = base[2, 1]
+    singles = rng.integers(1, 2**63, size=(4, bands), dtype=np.uint64)
+    singles[0, 1] = base[2, 1]
+    return np.concatenate([base[rng.integers(0, 5, size=n_rows)], singles])
+
+
+class TestNeighbourListsOnSharedBuckets:
+    #: Peak bytes traced per item while the lists are built.  A linear
+    #: builder stays near 0.35 KiB here; expanding every member of a
+    #: bucket by every other member (quadratic in a group of identical
+    #: rows) exceeds 100 KiB per item at 1,000 rows.
+    PEAK_BYTES_PER_ITEM = 2048
+
+    def test_bucket_of_several_groups_matches_brute_force(self):
+        rng = np.random.default_rng(31)
+        rows = rng.integers(1, 2**63, size=(6, 4), dtype=np.uint64)
+        rows[1:4, 2] = rows[0, 2]  # one bucket, four distinct groups
+        rows[5, 0] = rows[4, 0]
+        keys = rows[[0, 1, 1, 2, 3, 3, 3, 4, 5, 0, 5]]
+        assert_csr_matches_brute_force(keys)
+        group_of, indptr, indices = grouped_neighbour_csr(keys)
+        first = group_of[0]
+        assert indices[indptr[first] : indptr[first + 1]].tolist() == [
+            0, 1, 2, 3, 4, 5, 6, 9,
+        ]
+
+    def test_duplicate_heavy_keys_match_brute_force(self):
+        assert_csr_matches_brute_force(duplicate_heavy_keys(600))
+
+    def test_duplicate_heavy_lists_stay_linear_in_memory(self):
+        # 1,000 rows first, so a quadratic builder fails there, before
+        # it can ask for gigabytes at 20,000
+        for n_rows in (1_000, 20_000):
+            keys = duplicate_heavy_keys(n_rows)
+            tracemalloc.start()
+            try:
+                group_of, indptr, indices = grouped_neighbour_csr(keys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / len(keys) < self.PEAK_BYTES_PER_ITEM, (n_rows, peak)
+            assert len(indptr) == 10  # five key rows, four singletons
+            assert len(indices) < 3 * len(keys)
