@@ -438,7 +438,8 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
                     moves=moves,
                     cost=cost,
                     mean_shortlist=accumulator.mean(),
-                    n_empty_clusters=self.n_clusters - len(np.unique(labels)),
+                    n_empty_clusters=self.n_clusters
+                    - np.count_nonzero(np.bincount(labels)),
                 )
                 if moves == 0:
                     converged = True
@@ -557,17 +558,20 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         return self._predict_from_signatures(X, self._signatures(X))
 
     def _predict_from_signatures(
-        self, X: np.ndarray, signatures: np.ndarray
+        self, X: np.ndarray, signatures: np.ndarray, band_keys: np.ndarray | None = None
     ) -> np.ndarray:
         """The post-hashing tail of :meth:`predict`.
 
         Split out so callers that need the signatures for something
-        else too — the serving layer's streaming ``extend`` hashes once
-        and feeds the same matrix to ``insert_batch`` — avoid paying
-        the MinHash pass twice.  ``X`` must already be validated and
-        non-empty.
+        else too — the serving layer's streaming ``extend`` hashes and
+        bands once and feeds the same keys to ``insert_batch`` — avoid
+        paying the MinHash pass twice.  ``band_keys``, when given, are
+        the signatures' bucket keys.  ``X`` must already be validated
+        and non-empty.
         """
-        indptr, clusters = self.index_.shortlists_for_signatures(signatures)
+        indptr, clusters = self.index_.shortlists_for_signatures(
+            signatures, band_keys=band_keys
+        )
         lengths = np.diff(indptr)
         out = np.empty(X.shape[0], dtype=np.int64)
 

@@ -757,7 +757,9 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
 
         with phases.span("shortlist", rows=count):
             keys = compute_band_keys(signatures, index.bands, index.rows)
-            indptr, base_clusters = index.shortlists_for_signatures(signatures)
+            indptr, base_clusters = index.shortlists_for_signatures(
+                signatures, band_keys=keys
+            )
             lengths = np.diff(indptr)
             base_label = np.full(count, -1, dtype=np.int64)
             base_dist = np.full(count, np.inf, dtype=np.float64)
@@ -800,16 +802,19 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         bands = keys.shape[1]
         # Rows sharing a band key with another row of this segment are
         # the only ones whose shortlist the push loop would have grown
-        # with intra-segment insertions.
+        # with intra-segment insertions.  One sort of every band's keys
+        # finds them: a sorted key equal to a neighbour is duplicated.
+        order = np.argsort(keys, axis=0)
+        sorted_keys = np.take_along_axis(keys, order, axis=0)
+        repeat = sorted_keys[1:] == sorted_keys[:-1]
+        duplicated = np.zeros(keys.shape, dtype=bool)
+        duplicated[1:] = repeat
+        duplicated[:-1] |= repeat
         colliding = np.zeros(count, dtype=bool)
-        duplicated_keys: list[set[int]] = []
-        for j in range(bands):
-            uniq, inverse, key_counts = np.unique(
-                keys[:, j], return_inverse=True, return_counts=True
-            )
-            duplicated = key_counts > 1
-            colliding |= duplicated[inverse]
-            duplicated_keys.append(set(uniq[duplicated].tolist()))
+        colliding[order[duplicated]] = True
+        duplicated_keys = [
+            set(sorted_keys[duplicated[:, j], j].tolist()) for j in range(bands)
+        ]
 
         labels = np.empty(count, dtype=np.int64)
         fallbacks = 0

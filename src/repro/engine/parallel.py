@@ -36,16 +36,29 @@ Semantics: with ``update_refs='online'`` the serial backend runs the
 paper's exact per-item pass (reassignments visible to later items in
 the same pass).  With ``update_refs='batch'`` **every** backend —
 serial included — runs the vectorised batch pass: per chunk, the
-ragged shortlists are built with one segmented ``np.unique`` over
-``group * k + label`` keys off the session's group-level neighbour CSR
-(items with identical band keys share one neighbour list *and* one
-shortlist), padded into a dense block, and scored with the model's
-``_block_distances`` kernel.  Tie-breaking replicates the per-item rule (keep the current
-cluster whenever it is at least as close as the best candidate; first
-minimum wins among the sorted shortlist), so a batch pass partitions
-into chunks without changing any per-item decision — labels are
-identical for any chunking and any backend, which the
-backend-equivalence tests assert exactly.
+ragged shortlists are built with one segmented sort
+(:func:`~repro.sorting.sorted_unique`) over ``group * k + label`` keys
+off the session's group-level neighbour CSR (items with identical band
+keys share one neighbour list *and* one shortlist), padded into a dense
+block, and scored with the model's ``_block_distances`` kernel.
+Tie-breaking replicates the per-item rule (keep the current cluster
+whenever it is at least as close as the best candidate; first minimum
+wins among the sorted shortlist), so a batch pass partitions into
+chunks without changing any per-item decision — labels are identical
+for any chunking and any backend, which the backend-equivalence tests
+assert exactly.
+
+From the second batch pass on, a session rescores only what can
+change.  It keeps references to the centroids and labels the previous
+pass was given and marks a neighbour group *dirty* when an item of its
+list changed label or sits in a cluster whose centroid row changed
+(:func:`dirty_groups`; the parallel session reads the CSR through the
+handles it shares, and the mask rides in the pass's ``dynamic``
+tuple).  Every group's shortlist is still built, so shortlist totals
+and maxima are those of a full pass, but only dirty groups' items are
+scored.  This is exact: a clean item kept its label in the previous
+pass against the same shortlist and the same centroid rows, and it is
+in its own list, so had it moved its group would be dirty.
 """
 
 from __future__ import annotations
@@ -60,8 +73,9 @@ from repro.obs import span as trace_span
 from repro.obs import traced
 from repro.lsh.bands import compute_band_keys
 from repro.lsh.index import ClusteredLSHIndex, grouped_neighbour_csr
+from repro.sorting import sorted_unique
 
-__all__ = ["ClusteringEngine", "backend_from_spec", "resolve_engine"]
+__all__ = ["ClusteringEngine", "backend_from_spec", "dirty_groups", "resolve_engine"]
 
 #: Rough element budget for one padded ``(rows, smax, m)`` distance
 #: tensor inside a chunk worker; blocks are sliced to stay under it.
@@ -179,18 +193,48 @@ def best_shortlisted_centroids(
     return best_label, best_distance
 
 
+def dirty_groups(
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    labels: np.ndarray,
+    previous_labels: np.ndarray,
+    centroids: np.ndarray,
+    previous_centroids: np.ndarray,
+) -> np.ndarray:
+    """Which neighbour-list groups a batch pass must rescore.
+
+    ``labels`` and ``centroids`` are what this pass is given, the
+    ``previous_*`` arrays what the pass before it was given.  A group is
+    dirty when an item of its list changed label or sits in a cluster
+    whose centroid row changed (the module docstring says why every
+    other group keeps its labels).  Returns one bool per group of
+    ``csr``.
+    """
+    _, indptr, indices = csr
+    changed = labels != previous_labels
+    changed |= np.any(centroids != previous_centroids, axis=1)[labels]
+    # every group's list holds at least its own items, so no run is empty
+    return np.logical_or.reduceat(changed[indices], indptr[:-1])
+
+
 @traced("fit.assignment_chunk")
 def _assignment_chunk(
     static: tuple, dynamic: tuple, span: tuple[int, int]
 ) -> tuple[np.ndarray, int, int, int]:
     """One chunk of a batch assignment pass.
 
+    ``dynamic`` is ``(centroids, labels, csr)`` or ``(centroids, labels,
+    csr, dirty)``: with a :func:`dirty_groups` mask only the items of
+    dirty groups are scored and every other item keeps its label;
+    without one (or with ``None``) every item is scored.  Shortlist
+    sizes are counted for every item either way.
+
     Returns ``(new_labels_chunk, moves, shortlist_total, shortlist_max)``;
     the session merges chunks in task order.
     """
     model, x_ref = static
     X = resolve_array(x_ref)
-    centroids, labels, (group_of_ref, indptr_ref, indices_ref) = dynamic
+    centroids, labels, (group_of_ref, indptr_ref, indices_ref), *rest = dynamic
+    dirty = rest[0] if rest else None
     group_of = resolve_array(group_of_ref)
     group_indptr = resolve_array(indptr_ref)
     group_indices = resolve_array(indices_ref)
@@ -200,9 +244,9 @@ def _assignment_chunk(
     # --- group shortlists, once per chunk.  Items with identical
     # band-key rows share one neighbour list, and labels are frozen for
     # the whole pass, so their shortlists are identical too: the
-    # segmented ``np.unique`` runs over the chunk's *distinct* groups.
-    # Keys ``group * k + label`` sort by group first, then ascending
-    # label, reproducing each item's per-item np.unique exactly — and
+    # segmented sort runs over the chunk's *distinct* groups.  Keys
+    # ``group * k + label`` sort by group first, then ascending label,
+    # reproducing each item's per-item np.unique exactly — and
     # duplicate-heavy data (many identical rows, one giant group) costs
     # O(one neighbour list), not O(items × list).
     span_groups = group_of[start:stop]
@@ -215,23 +259,26 @@ def _assignment_chunk(
     offsets = np.arange(total, dtype=np.int64) - np.repeat(flat_starts, lengths)
     members = group_indices[bases + offsets]
     owner = np.repeat(np.arange(len(chunk_groups), dtype=np.int64), lengths)
-    uniq = np.unique(owner * k + labels[members])
+    uniq = sorted_unique(owner * k + labels[members])
     u_owner = uniq // k
     u_label = uniq - u_owner * k
     group_sizes = np.bincount(u_owner, minlength=len(chunk_groups))
     group_starts = np.zeros(len(chunk_groups), dtype=np.int64)
     np.cumsum(group_sizes[:-1], out=group_starts[1:])
+    shortlist_total = int(group_sizes[local_group].sum())
+    shortlist_max = int(group_sizes.max()) if len(group_sizes) else 0
 
-    out = np.empty(stop - start, dtype=np.int64)
+    out = labels[start:stop].copy()
+    scored = None if dirty is None else np.flatnonzero(dirty[span_groups])
+    count = stop - start if scored is None else len(scored)
     moves = 0
-    shortlist_total = 0
-    shortlist_max = 0
-    for lo, hi in iter_blocks(start, stop, _BLOCK_ITEMS):
-        block_groups = local_group[lo - start : hi - start]
+    for lo, hi in iter_blocks(0, count, _BLOCK_ITEMS):
+        rows = slice(lo, hi) if scored is None else scored[lo:hi]
+        block_groups = local_group[rows]
         sizes = group_sizes[block_groups]
         # gather every item's (sorted) shortlist from its group's run
         flat = int(sizes.sum())
-        row_starts = np.zeros(hi - lo, dtype=np.int64)
+        row_starts = np.zeros(len(sizes), dtype=np.int64)
         np.cumsum(sizes[:-1], out=row_starts[1:])
         candidate_offsets = (
             np.arange(flat, dtype=np.int64) - np.repeat(row_starts, sizes)
@@ -240,8 +287,8 @@ def _assignment_chunk(
             np.repeat(group_starts[block_groups], sizes) + candidate_offsets
         ]
 
-        block = X[lo:hi]
-        current = labels[lo:hi]
+        block = X[start + lo : start + hi] if scored is None else X[start + rows]
+        current = out[rows]
         current_distance = model._block_distances(
             block, centroids[current[:, None]]
         )[:, 0]
@@ -249,10 +296,8 @@ def _assignment_chunk(
             model, block, candidates, sizes, centroids
         )
         keep = current_distance <= best_distance
-        out[lo - start : hi - start] = np.where(keep, current, best_label)
+        out[rows] = np.where(keep, current, best_label)
         moves += int(np.count_nonzero(~keep))
-        shortlist_total += int(sizes.sum())
-        shortlist_max = max(shortlist_max, int(sizes.max()))
     return out, moves, shortlist_total, shortlist_max
 
 
@@ -266,6 +311,25 @@ def _build_index(
 ) -> ClusteredLSHIndex:
     """The fit's clustered index, built in-process on any backend."""
     return ClusteredLSHIndex.from_band_keys(model.bands, model.rows, band_keys, labels)
+
+
+class _DirtyTracker:
+    """The arrays the previous batch pass was given, for :func:`dirty_groups`.
+
+    It keeps references, not copies: a fit hands every pass new label
+    and centroid arrays and never writes into one it has handed over.
+    The same object twice might have been written in place, so that
+    pass, like the first, scores every item.
+    """
+
+    def __init__(self) -> None:
+        self._previous: tuple[np.ndarray, np.ndarray] | None = None
+
+    def mask(self, csr, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
+        previous, self._previous = self._previous, (centroids, labels)
+        if previous is None or previous[0] is centroids or previous[1] is labels:
+            return None
+        return dirty_groups(csr, labels, previous[1], centroids, previous[0])
 
 
 class _SerialFitSession:
@@ -287,6 +351,7 @@ class _SerialFitSession:
         self._X = X
         self._index: ClusteredLSHIndex | None = None
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._dirty = _DirtyTracker()
 
     def __enter__(self) -> "_SerialFitSession":
         return self
@@ -319,8 +384,9 @@ class _SerialFitSession:
                 self._X, centroids, labels, self._index, self._csr, accumulator
             )
         n = self._X.shape[0]
+        dirty = self._dirty.mask(self._csr, centroids, labels)
         out, moves, total, smax = _assignment_chunk(
-            (model, self._X), (centroids, labels, self._csr), (0, n)
+            (model, self._X), (centroids, labels, self._csr, dirty), (0, n)
         )
         accumulator.add_many(total, n, smax)
         self._index.set_assignments(out)
@@ -372,6 +438,7 @@ class _ParallelFitSession:
         self.open_s = open_span.wall_s
         self._index: ClusteredLSHIndex | None = None
         self._csr_refs: tuple[SharedArray, SharedArray, SharedArray] | None = None
+        self._dirty = _DirtyTracker()
 
     def __enter__(self) -> "_ParallelFitSession":
         return self
@@ -412,8 +479,12 @@ class _ParallelFitSession:
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
         assert self._index is not None, "build_index must run before passes"
         spans = chunk_ranges(self._n, self._backend.n_jobs)
+        csr = tuple(ref.get() for ref in self._csr_refs)
+        dirty = self._dirty.mask(csr, centroids, labels)
         results = self._pool.run(
-            _assignment_chunk, spans, dynamic=(centroids, labels, self._csr_refs)
+            _assignment_chunk,
+            spans,
+            dynamic=(centroids, labels, self._csr_refs, dirty),
         )
         new_labels = np.concatenate([chunk for chunk, _, _, _ in results])
         moves = sum(chunk_moves for _, chunk_moves, _, _ in results)

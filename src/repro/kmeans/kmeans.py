@@ -153,7 +153,8 @@ class KMeans(EstimatorProtocol):
                 moves=moves,
                 cost=cost,
                 mean_shortlist=float(self.n_clusters),
-                n_empty_clusters=self.n_clusters - len(np.unique(labels)),
+                n_empty_clusters=self.n_clusters
+                - np.count_nonzero(np.bincount(labels)),
             )
             if moves == 0:
                 converged = True

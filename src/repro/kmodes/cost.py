@@ -4,6 +4,11 @@ P(W, Q) is the total matching distance between every item and the mode
 of its assigned cluster.  Batch K-Modes monotonically decreases this
 quantity: the assignment step is optimal for fixed modes, and the mode
 update is optimal for fixed assignments (Equation 3's minimiser).
+
+The mismatches are counted in blocks of 4,096 rows, so the ``(n, m)``
+gather of every item's mode never exists at once: a fit asks for the
+cost after every iteration, and that gather was the largest array
+those calls made.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ import numpy as np
 from repro.exceptions import DataValidationError
 
 __all__ = ["clustering_cost"]
+
+#: Rows whose modes are gathered and compared at once.
+_BLOCK_ROWS = 4096
 
 
 def clustering_cost(X: np.ndarray, modes: np.ndarray, labels: np.ndarray) -> int:
@@ -49,4 +57,8 @@ def clustering_cost(X: np.ndarray, modes: np.ndarray, labels: np.ndarray) -> int
         raise DataValidationError(
             f"labels outside [0, {modes.shape[0]})"
         )
-    return int(np.count_nonzero(X != modes[labels]))
+    total = 0
+    for lo in range(0, len(labels), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        total += int(np.count_nonzero(X[block] != modes[labels[block]]))
+    return total

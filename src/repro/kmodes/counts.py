@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataValidationError
+from repro.sorting import run_starts, sorted_unique
 
 __all__ = ["ModeCounts", "raise_best"]
 
@@ -60,14 +61,6 @@ def _locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return np.zeros(len(queries), dtype=bool), position
     found = keys[np.minimum(position, len(keys) - 1)] == queries
     return found, position
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Index of the first element of every run of equal sorted values."""
-    change = np.empty(len(values), dtype=bool)
-    change[:1] = True
-    np.not_equal(values[1:], values[:-1], out=change[1:])
-    return np.flatnonzero(change)
 
 
 def _first_max(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +91,7 @@ def raise_best(
     value, so per pair the best of the risen triples either replaces
     the cached best or leaves it standing.
     """
-    starts = _run_starts(pairs)
+    starts = run_starts(pairs)
     first, count = _first_max(starts, counts)
     pair, value = pairs[starts], values[first]
     best_value = best_value.reshape(-1)
@@ -284,13 +277,17 @@ class ModeCounts:
             keys += self._encode(values)
         if weights is None:
             keys.sort()
-            starts = _run_starts(keys)
-            net = np.diff(starts, append=len(keys))
+            starts = run_starts(keys)
+            # run lengths written into one array: no appended copy
+            net = np.empty(len(starts), dtype=np.int64)
+            np.subtract(starts[1:], starts[:-1], out=net[:-1])
+            net[-1] = len(keys) - starts[-1]
             keys = keys[starts]
+            del starts  # freed before _build, where the layout peaks
         else:
             order = np.argsort(keys)
             keys = keys[order]
-            starts = _run_starts(keys)
+            starts = run_starts(keys)
             net = np.add.reduceat(weights[order], starts)
             keep = net != 0
             keys, net = keys[starts][keep], net[keep]
@@ -363,7 +360,7 @@ class ModeCounts:
         best_value = self.best_value.reshape(-1)
         best_count = self.best_count.reshape(-1)
         lost = np.flatnonzero(net < 0)
-        rescan = np.unique(
+        rescan = sorted_unique(
             pairs[lost][self._decode(codes[lost]) == best_value[pairs[lost]]]
         )
         gained = net > 0
@@ -406,7 +403,7 @@ class ModeCounts:
         best_count[pairs] = 0
         if len(keys):
             run_pairs = keys // span
-            starts = _run_starts(run_pairs)
+            starts = run_starts(run_pairs)
             first, count = _first_max(starts, counts)
             pair = run_pairs[starts]
             best_count[pair] = count
@@ -455,7 +452,7 @@ class ModeCounts:
             self._base = low
             self._span = min(2 * need, limit) if self.n_entries else need
         else:
-            self._vocab = np.unique(
+            self._vocab = sorted_unique(
                 np.concatenate([values] + [value for _, value in decoded])
             )
             self._base = 0

@@ -188,7 +188,7 @@ class KModes(EstimatorProtocol):
             cost = (
                 clustering_cost(X, modes, labels) if self.track_cost else float("nan")
             )
-            empty = self.n_clusters - len(np.unique(labels))
+            empty = self.n_clusters - np.count_nonzero(np.bincount(labels))
             stats.record(
                 duration_s=timer.elapsed_s,
                 moves=moves,

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.lsh.bands import compute_band_keys, validate_bands_rows
+from repro.sorting import run_starts, sorted_unique
 
 __all__ = [
     "BaseClusteredIndex",
@@ -128,6 +129,45 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
+def _bucket_runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, starts, lengths)`` of one band's keys sorted into runs."""
+    order = np.argsort(column)
+    starts = run_starts(column[order])
+    return order, starts, np.diff(starts, append=len(column))
+
+
+def _row_groups(
+    band_keys: np.ndarray, first_runs: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """``(group_of, n_groups)``: equal key rows share a group id.
+
+    Ids are the lexicographic ranks of the distinct rows, the numbering
+    of ``np.unique(band_keys, axis=0, return_inverse=True)``.  A row
+    whose band-0 key no other row holds is a distinct row by itself;
+    only the rows of shared band-0 runs (``first_runs``) are compared
+    whole.  Distinct rows of the two kinds never share a band-0 key, so
+    a row's rank is its rank among its own kind plus the number of rows
+    of the other kind with a smaller band-0 key.
+    """
+    order, starts, lengths = first_runs
+    alone = lengths == 1
+    alone_rows = order[starts[alone]]
+    alone_keys = band_keys[alone_rows, 0]  # ascending: band 0's sort order
+    group_of = np.empty(len(band_keys), dtype=np.int64)
+    shared_rows = order[_ranges(starts[~alone], lengths[~alone])]
+    distinct, shared_inverse = np.unique(
+        band_keys[shared_rows], axis=0, return_inverse=True
+    )
+    shared_keys = distinct[:, 0]
+    rank = np.arange(len(shared_keys), dtype=np.int64)
+    group_of[shared_rows] = (rank + np.searchsorted(alone_keys, shared_keys))[
+        shared_inverse.ravel()
+    ]
+    rank = np.arange(len(alone_keys), dtype=np.int64)
+    group_of[alone_rows] = rank + np.searchsorted(shared_keys, alone_keys)
+    return group_of, len(alone_keys) + len(shared_keys)
+
+
 def grouped_neighbour_csr(
     band_keys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,36 +176,38 @@ def grouped_neighbour_csr(
     Items with identical band-key rows form one group and share one
     list; item ``i``'s sorted distinct neighbours (itself included)
     are ``indices[indptr[group_of[i]]:indptr[group_of[i] + 1]]``.
+    Groups are numbered by the lexicographic rank of their key row.
+    The rows are grouped off band 0's sort, which the lists need
+    anyway: only rows that share their band-0 key with another row are
+    compared whole (``np.unique(axis=0)``), so keys with few repeated
+    rows cost one sort, while duplicate-heavy keys still pay the
+    whole-row comparison of most rows.
 
     Only buckets shared by two or more groups add anything beyond a
     group's own members, so the lists are gathered from those alone:
     per band, one sort of the keys into bucket runs; every distinct
     group of a run that holds several groups takes that run's members;
-    a single segmented ``np.unique`` over ``group * n + member`` keys
-    deduplicates and orders the lot.  A run's members are expanded once
-    per distinct group in it, never once per member, so a bucket of many
-    identical rows costs O(its size), not O(size²).
+    a single sort of ``group * n + member`` keys deduplicates and
+    orders the lot.  A run's members are expanded once per distinct
+    group in it, never once per member, so a bucket of many identical
+    rows costs O(its size), not O(size²).
     """
     n = len(band_keys)
-    unique_rows, group_of = np.unique(band_keys, axis=0, return_inverse=True)
-    group_of = group_of.astype(np.int64).ravel()
-    n_groups = len(unique_rows)
+    first_runs = _bucket_runs(band_keys[:, 0])
+    group_of, n_groups = _row_groups(band_keys, first_runs)
     group_parts = [group_of]
     member_parts = [np.arange(n, dtype=np.int64)]
-    for column in band_keys.T:
-        order = np.argsort(column)
-        sorted_keys = column[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    for band in range(band_keys.shape[1]):
+        order, starts, lengths = (
+            first_runs if band == 0 else _bucket_runs(band_keys[:, band])
         )
-        lengths = np.diff(np.append(starts, n))
         shared = np.flatnonzero(lengths > 1)
         if not len(shared):
             continue
         # (run, group) for every distinct group of every shared run
         entries = _ranges(starts[shared], lengths[shared])
         entry_run = np.repeat(np.arange(len(shared), dtype=np.int64), lengths[shared])
-        pairs = np.unique(entry_run * n_groups + group_of[order[entries]])
+        pairs = sorted_unique(entry_run * n_groups + group_of[order[entries]])
         pair_run = pairs // n_groups
         # a run of one group adds nothing to that group's own members
         mixed = np.bincount(pair_run, minlength=len(shared))[pair_run] > 1
@@ -176,7 +218,7 @@ def grouped_neighbour_csr(
         member_parts.append(order[_ranges(starts[run], lengths[run])])
         group_parts.append(np.repeat(pairs[mixed] - pair_run * n_groups, lengths[run]))
     groups = np.concatenate(group_parts)
-    uniq = np.unique(groups * n + np.concatenate(member_parts))
+    uniq = sorted_unique(groups * n + np.concatenate(member_parts))
     u_group = uniq // n
     indptr = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(u_group, minlength=n_groups), out=indptr[1:])
@@ -381,13 +423,13 @@ class BaseClusteredIndex:
         """All items sharing at least one bucket with ``item`` (incl. itself)."""
         self._check_built()
         assert self._keys_buf is not None
-        return np.unique(self._hits(self._keys_buf[item][None, :])[1])
+        return sorted_unique(self._hits(self._keys_buf[item][None, :])[1])
 
     def candidate_clusters(self, item: int) -> np.ndarray:
         """The paper's shortlist: distinct clusters of the item's neighbours."""
         self._check_built()
         assert self._assign_buf is not None
-        return np.unique(self._assign_buf[: self._n][self.candidate_items(item)])
+        return sorted_unique(self._assign_buf[: self._n][self.candidate_items(item)])
 
     def candidate_clusters_for_signature(self, signature: np.ndarray) -> np.ndarray:
         """Shortlist for a *novel* (un-indexed) signature.
@@ -411,17 +453,26 @@ class BaseClusteredIndex:
         members = self._hits(keys)[1]
         if not len(members):
             return np.empty(0, dtype=np.int64)
-        return np.unique(self._assign_buf[members])
+        return sorted_unique(self._assign_buf[members])
 
     def shortlists_for_signatures(
-        self, signatures: np.ndarray
+        self, signatures: np.ndarray | None, band_keys: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`candidate_clusters_for_signature` as a CSR pair.
 
         Band keys for every query row are computed in one call, all
         rows' buckets are found with one search over the sorted
         segments, and the per-row deduplication runs as a single
-        segmented ``np.unique`` over the whole batch.
+        segmented sort over the whole batch.
+
+        Parameters
+        ----------
+        signatures:
+            ``(n_rows, bands * rows)`` signature matrix of the queries.
+        band_keys:
+            Optional precomputed ``(n_rows, bands)`` key matrix of the
+            same signatures, as :meth:`insert_batch` takes it (callers
+            that band a chunk for its insert skip the rehash).
 
         Returns ``(indptr, clusters)``: row ``r``'s sorted distinct
         candidate clusters are ``clusters[indptr[r]:indptr[r + 1]]``
@@ -430,23 +481,29 @@ class BaseClusteredIndex:
         """
         self._check_built()
         assert self._assign_buf is not None
-        signatures = np.asarray(signatures)
-        if signatures.ndim != 2:
+        if band_keys is None:
+            signatures = np.asarray(signatures)
+            if signatures.ndim != 2:
+                raise DataValidationError(
+                    f"signatures must be 2-D, got ndim={signatures.ndim}"
+                )
+            band_keys = compute_band_keys(signatures, self.bands, self.rows)
+        keys = np.asarray(band_keys, dtype=np.uint64)
+        if keys.ndim != 2 or keys.shape[1] != self.bands:
             raise DataValidationError(
-                f"signatures must be 2-D, got ndim={signatures.ndim}"
+                f"band_keys must be (n_rows, {self.bands}), got shape {keys.shape}"
             )
-        n_rows = len(signatures)
+        n_rows = len(keys)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         if n_rows == 0:
             return indptr, np.empty(0, dtype=np.int64)
-        keys = compute_band_keys(signatures, self.bands, self.rows)
         rows_idx, members = self._hits(keys)
         if not len(members):
             return indptr, np.empty(0, dtype=np.int64)
         clusters = self._assign_buf[members]
         low = int(clusters.min())
         span = int(clusters.max()) - low + 1
-        uniq = np.unique(rows_idx * span + (clusters - low))
+        uniq = sorted_unique(rows_idx * span + (clusters - low))
         u_row = uniq // span
         u_cluster = uniq - u_row * span + low
         counts = np.bincount(u_row, minlength=n_rows)

@@ -58,6 +58,7 @@ from repro.exceptions import (
     ServerClosedError,
 )
 from repro.instrumentation import Timer
+from repro.lsh.bands import compute_band_keys
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
@@ -421,17 +422,20 @@ class ModelServer:
                 if n == 0:
                     labels = np.empty(0, dtype=np.int64)
                 elif self._pool is None:
+                    # hashed and banded once, for the query and the insert
+                    index = self._estimator._index
                     signatures = self._estimator._signatures(X)
+                    keys = compute_band_keys(signatures, index.bands, index.rows)
                     labels = self._estimator._predict_from_signatures(
-                        X, signatures
+                        X, signatures, band_keys=keys
                     )
+                    index.insert_batch(signatures, labels, band_keys=keys)
                 else:
                     results = self._pool.run(
                         _extend_chunk, self._spans(n), dynamic=X
                     )
                     labels = np.concatenate([chunk for chunk, _ in results])
                     signatures = np.concatenate([sigs for _, sigs in results])
-                if n:
                     self._estimator._index.insert_batch(signatures, labels)
             with self._stats_lock:
                 self._requests += 1

@@ -20,7 +20,8 @@ too.  The grouped neighbour CSR a fit walks
 held to the same reference, before and after inserts, on buckets that
 hold several distinct groups and on a key matrix of a few rows repeated
 thousands of times, whose builder memory must stay linear in the item
-count.  Growth is held
+count; its groups must be numbered as ``np.unique(axis=0)`` numbers the
+distinct key rows.  Growth is held
 to it as well: inserts and queries interleaved across two merges of the
 delta segment into the main one, statistics over main, delta and tail,
 a frozen index after inserts, a pickle round trip with a pending delta,
@@ -132,11 +133,15 @@ def assert_csr_matches_brute_force(keys):
         assert np.array_equal(indices[indptr[group] : indptr[group + 1]], expected)
     # items share a group exactly when their key rows are equal (the
     # fixture's duplicated tail among them)
-    _, first_of_row, row_of = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    assert np.array_equal(group_of, group_of[first_of_row][row_of.ravel()])
-    assert len(indptr) - 1 == len(first_of_row)
+    assert_groups_are_unique_rows(keys, group_of, indptr)
+
+
+def assert_groups_are_unique_rows(keys, group_of, indptr):
+    """Groups are numbered as ``np.unique(axis=0)`` numbers the distinct
+    key rows: by their lexicographic rank."""
+    unique_rows, row_of = np.unique(keys, axis=0, return_inverse=True)
+    assert np.array_equal(group_of, row_of.ravel())
+    assert len(indptr) - 1 == len(unique_rows)
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +246,12 @@ class TestQuerySurface:
                 clusters[indptr[row] : indptr[row + 1]],
                 index.candidate_clusters_for_signature(probe),
             )
+        # the same query from keys banded beforehand
+        keyed = index.shortlists_for_signatures(
+            None, band_keys=compute_band_keys(probes, *shape)
+        )
+        assert np.array_equal(keyed[0], indptr)
+        assert np.array_equal(keyed[1], clusters)
 
     def test_assignment_updates(self, make, shape, signatures, keys, assignments):
         index = make(shape, signatures, assignments)
@@ -291,6 +302,15 @@ class TestValidation:
         ):
             with pytest.raises(NotFittedError):
                 query()
+
+    def test_query_band_keys_of_the_wrong_width_rejected(self, signatures):
+        index = ClusteredLSHIndex(BANDS, ROWS).build(
+            signatures, np.zeros(len(signatures), dtype=np.int64)
+        )
+        with pytest.raises(DataValidationError):
+            index.shortlists_for_signatures(
+                None, band_keys=np.zeros((2, BANDS + 1), dtype=np.uint64)
+            )
 
     def test_mismatched_assignments_rejected(self, signatures):
         short = np.zeros(3, dtype=np.int64)
@@ -536,6 +556,47 @@ def duplicate_heavy_keys(n_rows: int, bands: int = 20, seed: int = 0) -> np.ndar
     singles = rng.integers(1, 2**63, size=(4, bands), dtype=np.uint64)
     singles[0, 1] = base[2, 1]
     return np.concatenate([base[rng.integers(0, 5, size=n_rows)], singles])
+
+
+def assert_groups_match_unique_rows(keys):
+    group_of, indptr, _ = grouped_neighbour_csr(keys)
+    assert_groups_are_unique_rows(keys, group_of, indptr)
+
+
+class TestRowGrouping:
+    """Rows are grouped off band 0's sort; the numbering must not move."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_matrices_with_many_duplicates(self, seed):
+        # three values per band, the uint64 extremes among them, so rows
+        # share band-0 keys while differing further on
+        rng = np.random.default_rng(seed)
+        n_rows, bands = int(rng.integers(2, 60)), int(rng.integers(2, 6))
+        values = rng.integers(1, 2**64 - 1, size=(3, bands), dtype=np.uint64)
+        values[0, ::2] = 0
+        values[1, 1::2] = 2**64 - 1
+        keys = values[rng.integers(0, 3, size=(n_rows, bands)), np.arange(bands)]
+        assert_groups_match_unique_rows(keys)
+
+    def test_one_band(self):
+        rng = np.random.default_rng(1)
+        assert_groups_match_unique_rows(
+            rng.integers(0, 5, size=(40, 1)).astype(np.uint64)
+        )
+
+    def test_all_rows_equal(self):
+        assert_groups_match_unique_rows(np.full((30, 4), 7, dtype=np.uint64))
+
+    @pytest.mark.parametrize("shared_first_keys", [False, True])
+    def test_all_rows_distinct(self, shared_first_keys):
+        rng = np.random.default_rng(2)
+        keys = rng.integers(1, 2**63, size=(200, 5), dtype=np.uint64)
+        if shared_first_keys:
+            keys[100:, 0] = keys[:100, 0]
+        assert_groups_match_unique_rows(keys)
+
+    def test_duplicate_heavy_keys(self):
+        assert_groups_match_unique_rows(duplicate_heavy_keys(20_000))
 
 
 class TestNeighbourListsOnSharedBuckets:

@@ -35,6 +35,19 @@ class TestClusteringCost:
         )
         assert clustering_cost(X, modes, labels) == expected
 
+    def test_blocked_count_equals_one_shot_count(self):
+        # two whole row blocks and a partial third
+        from repro.kmodes import cost
+
+        rng = np.random.default_rng(4)
+        n = 2 * cost._BLOCK_ROWS + 123
+        X = rng.integers(0, 3, (n, 5))
+        modes = rng.integers(0, 3, (6, 5))
+        labels = rng.integers(0, 6, n)
+        assert clustering_cost(X, modes, labels) == np.count_nonzero(
+            X != modes[labels]
+        )
+
     def test_empty_labels(self):
         X = np.zeros((0, 3), dtype=np.int64)
         modes = np.zeros((2, 3), dtype=np.int64)

@@ -5,6 +5,9 @@ transformation: at a fixed seed it produces labels bit-identical to
 the per-item batch pass for every estimator, backend and chunk size
 — and the batched predict path must match the per-item
 prediction loop row for row, including rows whose shortlist is empty.
+From the second pass on it scores only the items of dirty neighbour
+groups (:func:`~repro.engine.parallel.dirty_groups`); every label,
+centroid and per-iteration figure must still be the per-item pass's.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.core.streaming import StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.exceptions import ConfigurationError
 from repro.kmeans.mh_kmeans import LSHKMeans
+from repro.engine.parallel import _assignment_chunk, _DirtyTracker, dirty_groups
 from repro.lsh.index import grouped_neighbour_csr
 
 
@@ -70,11 +74,15 @@ def _fit_kmeans(X, initial, per_item=False, engine=None):
     return model
 
 
+def _iteration_figures(model):
+    return [(it.moves, it.cost, it.mean_shortlist) for it in model.stats_.iterations]
+
+
 def _assert_same_fit(candidate, reference):
     assert np.array_equal(candidate.labels_, reference.labels_)
     assert np.array_equal(candidate.centroids_, reference.centroids_)
     assert candidate.n_iter_ == reference.n_iter_
-    assert candidate.stats_.shortlist_sizes == reference.stats_.shortlist_sizes
+    assert _iteration_figures(candidate) == _iteration_figures(reference)
 
 
 ENGINE_CONFIGS = [
@@ -86,6 +94,15 @@ ENGINE_CONFIGS = [
 
 
 class TestVectorisedPassIdentity:
+    def test_fits_move_items_after_the_first_pass(self, categorical, numeric):
+        # so the identity tests below cover the dirty-group passes
+        for model in (
+            _fit_kmodes(*categorical, per_item=True),
+            _fit_kmeans(*numeric, per_item=True),
+        ):
+            assert model.n_iter_ >= 3
+            assert any(it.moves for it in model.stats_.iterations[1:])
+
     @pytest.mark.parametrize("overrides", ENGINE_CONFIGS)
     def test_mh_kmodes_matches_per_item_pass(self, categorical, overrides):
         X, initial = categorical
@@ -99,6 +116,19 @@ class TestVectorisedPassIdentity:
         reference = _fit_kmeans(X, initial, per_item=True)
         candidate = _fit_kmeans(X, initial, **overrides)
         _assert_same_fit(candidate, reference)
+
+    @pytest.mark.parametrize("overrides", ENGINE_CONFIGS)
+    @pytest.mark.parametrize("kind", ["kmodes", "kmeans"])
+    def test_small_kernel_blocks_match_per_item_pass(
+        self, kind, overrides, categorical, numeric, monkeypatch
+    ):
+        # dirty rows picked out of a chunk span several sub-blocks
+        fit, (X, initial) = (
+            (_fit_kmodes, categorical) if kind == "kmodes" else (_fit_kmeans, numeric)
+        )
+        reference = fit(X, initial, per_item=True)
+        monkeypatch.setattr(parallel_mod, "_BLOCK_ITEMS", 17)
+        _assert_same_fit(fit(X, initial, **overrides), reference)
 
     @pytest.mark.parametrize("block_items", [3, 17, 100_000])
     def test_identity_invariant_to_kernel_block_size(
@@ -192,6 +222,107 @@ class TestVectorisedPassIdentity:
         assert np.array_equal(
             vectorised.extend(data.X[200:]), threaded.extend(data.X[200:])
         )
+
+
+class TestDirtyGroupPasses:
+    """Passes 2 and later score only the items of dirty groups."""
+
+    @pytest.mark.parametrize("engine", ENGINE_CONFIGS[:2])
+    def test_later_passes_score_fewer_rows(self, categorical, engine, monkeypatch):
+        X, initial = categorical
+        scored: list[list[int]] = []  # rows scored, per pass
+        score = parallel_mod.best_shortlisted_centroids
+
+        def spy(model, block, *rest):
+            scored[-1].append(len(block))
+            return score(model, block, *rest)
+
+        for session in (parallel_mod._SerialFitSession, parallel_mod._ParallelFitSession):
+
+            def counted(self, *args, _run_pass=session.run_pass):
+                scored.append([])
+                return _run_pass(self, *args)
+
+            monkeypatch.setattr(session, "run_pass", counted)
+        monkeypatch.setattr(parallel_mod, "best_shortlisted_centroids", spy)
+        model = _fit_kmodes(X, initial, **engine)
+        rows = [sum(calls) for calls in scored]
+        assert len(rows) == model.n_iter_ >= 3
+        assert rows[0] == len(X)
+        assert 0 < rows[1] and all(count < len(X) for count in rows[1:]), rows
+
+    def test_clean_items_keep_labels_and_shortlists_still_count(self, categorical):
+        X, initial = categorical
+        model = _fit_kmodes(X, initial)
+        csr = grouped_neighbour_csr(model.index_.band_keys)
+        # labels one pass from the fixed point, so the full pass moves items
+        labels = _fit_kmodes(
+            X, initial, train=BATCH.replace(max_iter=1)
+        ).labels_
+        dynamic = (model.centroids_, labels, csr)
+        full = _assignment_chunk((model, X), dynamic, (0, len(X)))
+        clean = np.zeros(len(csr[1]) - 1, dtype=bool)
+        masked = _assignment_chunk((model, X), (*dynamic, clean), (0, len(X)))
+        assert full[1] > 0
+        assert np.array_equal(masked[0], labels) and masked[1] == 0
+        assert masked[2:] == full[2:]  # shortlist total and maximum
+        # an all-dirty mask is the full pass
+        every = _assignment_chunk((model, X), (*dynamic, ~clean), (0, len(X)))
+        assert np.array_equal(every[0], full[0]) and every[1:] == full[1:]
+
+
+class TestDirtyRule:
+    """:func:`dirty_groups` on a hand-built CSR of four groups.
+
+    Lists: group 0 holds items 0 and 1, group 1 items 0-2, group 2
+    items 1 and 2, group 3 only item 3.  Cluster 3 holds no item.
+    """
+
+    CSR = (
+        np.arange(4),
+        np.array([0, 2, 5, 7, 8]),
+        np.array([0, 1, 0, 1, 2, 1, 2, 3]),
+    )
+    LABELS = np.array([0, 0, 1, 2])
+    CENTROIDS = np.array([[0, 0], [1, 1], [2, 2], [3, 3]])
+
+    def _dirty(self, labels=LABELS, centroids=CENTROIDS):
+        return dirty_groups(
+            self.CSR, labels, self.LABELS, centroids, self.CENTROIDS
+        ).tolist()
+
+    def test_nothing_shortlisted_changed(self):
+        assert self._dirty(self.LABELS.copy(), self.CENTROIDS.copy()) == [False] * 4
+        unheld = self.CENTROIDS.copy()
+        unheld[3, 0] = 9
+        assert self._dirty(centroids=unheld) == [False] * 4
+
+    def test_a_neighbour_moved(self):
+        labels = self.LABELS.copy()
+        labels[0] = 2  # item 0 is in group 1's list, not its item
+        assert self._dirty(labels) == [True, True, False, False]
+
+    def test_an_item_moved_itself(self):
+        labels = self.LABELS.copy()
+        labels[3] = 0  # item 3 is only in its own list
+        assert self._dirty(labels) == [False, False, False, True]
+
+    def test_a_shortlisted_centroid_row_changed(self):
+        centroids = self.CENTROIDS.copy()
+        centroids[1, 1] = 5  # cluster 1 holds item 2, in groups 1 and 2
+        assert self._dirty(centroids=centroids) == [False, True, True, False]
+
+    def test_tracker_scores_everything_when_it_cannot_compare(self):
+        tracker = _DirtyTracker()
+        labels = self.LABELS.copy()
+        assert tracker.mask(self.CSR, self.CENTROIDS, labels) is None  # first pass
+        moved = labels.copy()
+        moved[3] = 0
+        assert tracker.mask(self.CSR, self.CENTROIDS.copy(), moved).tolist() == [
+            False, False, False, True,
+        ]
+        # the same array again may have been written in place
+        assert tracker.mask(self.CSR, self.CENTROIDS.copy(), moved) is None
 
 
 class TestBatchedPredictRegression:
