@@ -6,10 +6,12 @@ that Figure 6 (scaling), Figure 7 (total time) and Figure 8 (purity)
 can reuse the runs of Figures 2-5 instead of repeating them, mirroring
 how the paper derives those figures from the same experiments.
 
-Rendered paper-style tables are written to ``benchmarks/results/*.txt``
-and echoed to stdout, so `pytest benchmarks/ --benchmark-only` leaves
-both the pytest-benchmark timing table and the reproduced figures on
-disk.
+Rendered paper-style tables are written to the gitignored
+``.bench_build/results/*.txt`` and echoed to stdout, so
+`pytest benchmarks/ --benchmark-only` leaves both the pytest-benchmark
+timing table and the reproduced figures on disk without rewriting
+tracked files.  The tables committed under ``benchmarks/results/`` are
+copied from there by hand, and only when a reproduced number changes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.experiments.runner import (
     yahoo_dataset,
 )
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).resolve().parents[1] / ".bench_build" / "results"
 
 _CONFIGS: dict[str, SyntheticConfig | YahooConfig] = {
     "fig2": FIG2,
@@ -105,13 +107,13 @@ def fixed_initial_modes(exp_id: str) -> np.ndarray:
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a rendered table under benchmarks/results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Persist a rendered table under :data:`RESULTS_DIR` and echo it."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print(f"\n{text}\n")
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR

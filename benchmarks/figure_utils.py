@@ -63,7 +63,7 @@ def report_figure(
     name: str,
     series_fields: tuple[str, ...] = ("duration_s", "mean_shortlist", "moves"),
 ) -> ComparisonResult:
-    """Render one figure's paper-style tables to benchmarks/results/."""
+    """Render one figure's paper-style tables to ``.bench_build/results/``."""
     comparison = get_comparison(exp_id)
     parts = [render_comparison_summary(comparison)]
     parts.extend(

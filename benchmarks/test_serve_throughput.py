@@ -17,7 +17,7 @@ disk, then a stream of 10 × 2 000-row predict requests is answered by
 
 Labels must be bit-identical along every path (asserted everywhere);
 items/sec land in machine-readable
-``benchmarks/results/BENCH_serve.json``, together with a ``metrics``
+``.bench_build/results/BENCH_serve.json``, together with a ``metrics``
 section: the merged registry snapshot of a metered serial run and the
 measured overhead of ``ServeSpec.emit_metrics`` (on vs off on the same
 stream, request by request back to back, compared in CPU time).  The wall-clock acceptances — the process-backend server
@@ -213,7 +213,7 @@ def test_serve_throughput(saved_model):
         "registry": metrics_snapshot,
     }
 
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "BENCH_serve.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )

@@ -19,7 +19,7 @@ with admission control must then
   other, within a bounded grace window.
 
 Those three are asserted unconditionally — they are contracts, not
-timings.  The results merge into ``benchmarks/results/BENCH_serve.json``
+timings.  The results merge into ``.bench_build/results/BENCH_serve.json``
 under an ``"slo"`` key (read-modify-write, so the throughput bench's
 sections survive).  ``REPRO_BENCH_SMOKE=1`` (or CI) shrinks the
 workload so the chaos-smoke job finishes in seconds.
@@ -263,7 +263,7 @@ def test_overload_holds_slo_and_sheds_load_structurally(overload_server):
     }
 
     # -- merge into BENCH_serve.json (read-modify-write) -----------------
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     bench_path = RESULTS_DIR / "BENCH_serve.json"
     record = (
         json.loads(bench_path.read_text(encoding="utf-8"))

@@ -19,7 +19,7 @@ from the same planted generator three ways over identical state:
   (bit-identical to the serial run).
 
 Results land in machine-readable
-``benchmarks/results/BENCH_stream.json`` (a CI bench-smoke artifact)
+``.bench_build/results/BENCH_stream.json`` (a CI bench-smoke artifact)
 so the ingest-throughput trajectory is tracked across commits.
 """
 
@@ -190,7 +190,7 @@ def test_stream_ingest_throughput(bootstrapped):
         # span recorded while the wave streamed in (repro.obs)
         "metrics": vec_metrics.snapshot(),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "BENCH_stream.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )

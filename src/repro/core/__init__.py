@@ -10,8 +10,8 @@
   error bound.
 * :mod:`repro.core.parameters` — (bands, rows) selection helpers
   implementing the guidance of Section III-D.
-* :mod:`repro.core.shortlist` — shortlist gathering with fallback
-  policies and per-iteration size accounting.
+* :mod:`repro.core.shortlist` — fallback policies for empty
+  shortlists and the full-scan kernel behind them.
 """
 
 from repro.core.error_bound import (
@@ -27,7 +27,6 @@ from repro.core.parameters import (
     probability_table,
     suggest_bands_rows,
 )
-from repro.core.shortlist import ShortlistAccumulator
 from repro.core.streaming import ClusterModeTracker, StreamingMHKModes
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "suggest_bands_rows",
     "probability_table",
     "ParameterRecommendation",
-    "ShortlistAccumulator",
 ]

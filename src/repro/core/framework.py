@@ -28,9 +28,9 @@ The base class owns the loop itself:
 4. recompute centroids; stop when no item moved or ``max_iter`` hits.
 
 All phases of one fit — including the per-iteration passes — run on a
-single engine fit session, so a parallel backend opens exactly one
-worker pool per fit and bulky arrays cross into workers once (see
-:mod:`repro.engine.parallel`).
+single :class:`~repro.engine.parallel.FitSession`, so every backend
+opens exactly one worker pool per fit (in-process on ``serial``) and
+bulky arrays cross into workers once.
 
 Shortlists of indexed items always contain the item's current cluster
 because every item collides with itself, so an iteration can never
@@ -47,13 +47,9 @@ from repro import kernels
 from repro.api.model import ClusterModel
 from repro.api.protocol import EstimatorProtocol, SpecAttributeSurface
 from repro.api.specs import LSH_FAMILIES, EngineSpec, LSHSpec, TrainSpec
-from repro.core.shortlist import (
-    ShortlistAccumulator,
-    apply_fallback,
-    best_centroids_full_scan,
-)
-from repro.engine import ClusteringEngine, resolve_engine
-from repro.engine.parallel import best_shortlisted_centroids
+from repro.core.shortlist import apply_fallback, best_centroids_full_scan
+from repro.engine.backends import resolve_backend
+from repro.engine.parallel import FitSession, best_shortlisted_centroids
 from repro.exceptions import (
     ConfigurationError,
     DataValidationError,
@@ -214,10 +210,6 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         check_fitted(self)
         return self._index
 
-    def _make_engine(self) -> ClusteringEngine:
-        """The engine executing this estimator's fit phases."""
-        return resolve_engine(self.engine)
-
     # -- the fitted-model artifact --------------------------------------
 
     def _artifact_params(self) -> dict:
@@ -325,7 +317,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
     def _prepare_signatures(self, X: np.ndarray) -> None:
         """Freeze any data-dependent encoding state before chunked hashing.
 
-        Called by parallel engines on the *full* matrix before
+        Called by the fit session on the *full* matrix before
         ``_signatures`` runs per chunk, so a chunk's local statistics
         (e.g. the maximum category code) can never change the encoding.
         The default does nothing; override when ``_signatures`` infers
@@ -390,26 +382,28 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         rng = np.random.default_rng(self.seed)
         centroids = self._initial_centroids(X, initial_centroids, rng)
         n = X.shape[0]
-        engine = self._make_engine()
+        backend = resolve_backend(
+            self.engine.backend, self.engine.n_jobs, self.engine.start_method
+        )
 
         stats = RunStats(algorithm=self._algorithm_name())
 
         converged = False
-        # One session serves every phase: parallel backends open their
-        # worker pool here, exactly once per fit.
-        with engine.fit_session(self, X) as session:
+        # One session serves every phase: it opens the backend's worker
+        # pool here, exactly once per fit.
+        with FitSession(backend, self, X) as session:
             # --- setup: one exhaustive pass + one indexing pass (paper's
             # "initial extra step", charged to total time, not
             # per-iteration).  Pool spin-up is charged to setup too.
             # Every phase reports through the span API: the same Timer
             # readings the old code published in phase_s, now also in
             # the metrics registry (span "fit.<phase>") and the trace
-            # stream.  Parallel sessions report their own
-            # "fit.session_open" span at open.
+            # stream.  The session reports its own "fit.session_open"
+            # span at open.
             phases = PhaseSpans("fit")
             with Timer() as setup_timer:
                 with phases.span("exhaustive_assign"):
-                    labels, _ = session.exhaustive_assign(
+                    labels = session.exhaustive_assign(
                         centroids, np.full(n, -1, dtype=np.int64)
                     )
                 with phases.span(
@@ -424,9 +418,10 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
             stats.phase_s.update(phases.totals)
 
             for _ in range(self.max_iter):
-                accumulator = ShortlistAccumulator()
                 with phases.span("iterations") as iteration_span:
-                    labels, moves = session.run_pass(centroids, labels, accumulator)
+                    labels, moves, shortlist_total = session.run_pass(
+                        centroids, labels
+                    )
                     centroids = self._update_centroids(X, labels, centroids, rng)
                 cost = (
                     self._compute_cost(X, centroids, labels)
@@ -437,7 +432,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
                     duration_s=iteration_span.wall_s,
                     moves=moves,
                     cost=cost,
-                    mean_shortlist=accumulator.mean(),
+                    mean_shortlist=shortlist_total / n,
                     n_empty_clusters=self.n_clusters
                     - np.count_nonzero(np.bincount(labels)),
                 )
@@ -471,8 +466,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         labels: np.ndarray,
         index: ClusteredLSHIndex,
         csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-        accumulator: ShortlistAccumulator,
-    ) -> tuple[np.ndarray, int]:
+    ) -> tuple[np.ndarray, int, int]:
         """One assignment pass over all items using index shortlists.
 
         This is the hot loop of the whole library, so it works on raw
@@ -481,7 +475,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         and the neighbour lists are walked as slices of ``csr``, the
         ``(group_of, indptr, indices)`` triple of
         :func:`~repro.lsh.index.grouped_neighbour_csr` over the index's
-        band keys.
+        band keys.  Returns ``(labels, moves, shortlist_total)``.
         """
         online = self.update_refs == "online"
         index.set_assignments(labels)
@@ -516,10 +510,9 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
             new_labels[i] = best
             if online:
                 refs[i] = best
-        accumulator.add_many(total_shortlist, n)
         if not online:
             index.set_assignments(new_labels)
-        return new_labels, moves
+        return new_labels, moves, total_shortlist
 
     # ------------------------------------------------------------------
     # prediction for novel items

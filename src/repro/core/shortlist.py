@@ -1,12 +1,9 @@
-"""Shortlist accounting, fallback policies and the full-scan kernel.
+"""Fallback policies and the full-scan kernel.
 
 The shortlist itself is produced by
 :meth:`repro.lsh.index.ClusteredLSHIndex.candidate_clusters`; this
 module adds the plumbing around it:
 
-* :class:`ShortlistAccumulator` — cheap per-iteration accounting of
-  shortlist sizes, feeding the "Avg. Clusters Returned" series of
-  Figures 2b, 3c, 4a, 5b, 9b and 10c;
 * :func:`apply_fallback` — what to do when a shortlist comes back
   empty.  For *indexed* items this cannot happen (an item always
   collides with itself, so its current cluster is always present); it
@@ -29,7 +26,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 __all__ = [
-    "ShortlistAccumulator",
     "apply_fallback",
     "best_centroids_full_scan",
     "FALLBACK_POLICIES",
@@ -41,56 +37,6 @@ _FULL_SCAN_ELEMENT_BUDGET = 4_000_000
 
 #: Valid fallback policies for empty shortlists on novel items.
 FALLBACK_POLICIES = ("full", "error")
-
-
-class ShortlistAccumulator:
-    """Accumulates shortlist sizes within one iteration.
-
-    Examples
-    --------
-    >>> acc = ShortlistAccumulator()
-    >>> acc.add(3)
-    >>> acc.add(5)
-    >>> acc.mean()
-    4.0
-    """
-
-    def __init__(self) -> None:
-        self._total = 0
-        self._count = 0
-        self._max = 0
-
-    def add(self, size: int) -> None:
-        """Record one item's shortlist size."""
-        self._total += size
-        self._count += 1
-        if size > self._max:
-            self._max = size
-
-    def add_many(self, total: int, count: int, max_size: int = 0) -> None:
-        """Record a batch of shortlist sizes by aggregate."""
-        self._total += total
-        self._count += count
-        if max_size > self._max:
-            self._max = max_size
-
-    def mean(self) -> float:
-        """Mean shortlist size this iteration (nan when empty)."""
-        return self._total / self._count if self._count else float("nan")
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def max(self) -> int:
-        return self._max
-
-    def reset(self) -> None:
-        """Clear the accumulator for the next iteration."""
-        self._total = 0
-        self._count = 0
-        self._max = 0
 
 
 def apply_fallback(

@@ -13,9 +13,9 @@ shortlist assignment — across workers, behind one seam:
 * :mod:`repro.engine.pool` — :class:`PersistentPool`, the worker pool
   with an explicit lifetime shared by fit sessions and the serving
   layer (:mod:`repro.serve`);
-* :mod:`repro.engine.parallel` — :class:`ClusteringEngine`, whose
-  fit-lifetime session runs those phases — including the vectorised
-  batch assignment pass — on one worker pool per fit.
+* :mod:`repro.engine.parallel` — :class:`~repro.engine.parallel.FitSession`,
+  which runs those phases — including the vectorised batch assignment
+  pass — on one worker pool per fit, for every backend.
 
 Estimators configure it through an :class:`~repro.api.EngineSpec`
 (``backend``, ``n_jobs``, ...); the default ``backend='serial'``
@@ -34,7 +34,6 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.chunking import chunk_ranges, iter_blocks
-from repro.engine.parallel import ClusteringEngine, resolve_engine
 from repro.engine.pool import PersistentPool, live_pool_count
 from repro.engine.shared import SharedArray, resolve_array
 
@@ -47,8 +46,6 @@ __all__ = [
     "resolve_backend",
     "chunk_ranges",
     "iter_blocks",
-    "ClusteringEngine",
-    "resolve_engine",
     "PersistentPool",
     "live_pool_count",
     "SharedArray",

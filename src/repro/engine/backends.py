@@ -13,9 +13,10 @@ list of small tasks (usually item spans), where
 Backends differ only in *where* the kernel runs:
 
 ``serial``
-    In-process, one task at a time.  Zero overhead, and the engine
-    additionally routes the assignment loop through the paper's exact
-    online per-item pass (see :mod:`repro.engine.parallel`).
+    In-process, one task at a time.  A fit runs on it through the
+    same session as on any other backend; the paper's exact online
+    per-item pass is legal only here (see
+    :mod:`repro.engine.parallel`).
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The chunk
     kernels spend their time in numpy, which releases the GIL, so
@@ -82,9 +83,8 @@ def default_n_jobs() -> int:
 class BackendSession(abc.ABC):
     """A worker pool bound to one ``static`` payload.
 
-    Sessions are context managers; the engine opens one per phase (or
-    one for all iterations of the assignment loop) and issues any
-    number of :meth:`run` calls inside it.
+    Sessions are context managers; a fit or a server opens one and
+    issues any number of :meth:`run` calls inside it.
     """
 
     def __enter__(self) -> "BackendSession":
@@ -161,13 +161,6 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def _open_session(self, static: Any) -> BackendSession:
         """Create the concrete session (workers spin up here)."""
-
-    def run(
-        self, fn: Kernel, tasks: list, static: Any = None, dynamic: Any = None
-    ) -> list:
-        """One-shot convenience: open a session, run, tear down."""
-        with self.session(static) as session:
-            return session.run(fn, tasks, dynamic)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n_jobs={self.n_jobs})"
@@ -374,30 +367,29 @@ _BACKEND_CLASSES: dict[str, type[ExecutionBackend]] = {
 
 
 def resolve_backend(
-    backend: str | ExecutionBackend, n_jobs: int | None = None
+    name: str, n_jobs: int | None = None, start_method: str | None = None
 ) -> ExecutionBackend:
-    """Turn a ``backend=`` argument into an :class:`ExecutionBackend`.
+    """Build the :class:`ExecutionBackend` a ``backend=`` name describes.
 
     Parameters
     ----------
-    backend:
-        A backend name from :data:`BACKEND_NAMES` or an already
-        constructed backend (returned unchanged; ``n_jobs`` must then
-        be ``None``).
+    name:
+        A backend name from :data:`BACKEND_NAMES`.
     n_jobs:
-        Worker count for named backends; defaults to one worker per
-        CPU for the parallel backends and is fixed at 1 for serial.
+        Worker count; defaults to one worker per CPU for the parallel
+        backends and to 1 for serial.
+    start_method:
+        Multiprocessing start method, for ``'process'`` only.
     """
-    if isinstance(backend, ExecutionBackend):
-        if n_jobs is not None and n_jobs != backend.n_jobs:
-            raise ConfigurationError(
-                f"n_jobs={n_jobs} conflicts with the provided backend's "
-                f"n_jobs={backend.n_jobs}; configure one or the other"
-            )
-        return backend
-    cls = _BACKEND_CLASSES.get(backend)
+    cls = _BACKEND_CLASSES.get(name)
     if cls is None:
         raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {BACKEND_NAMES}"
+            f"unknown backend {name!r}; choose from {BACKEND_NAMES}"
         )
-    return cls(n_jobs)
+    if start_method is None:
+        return cls(n_jobs)
+    if cls is not ProcessBackend:
+        raise ConfigurationError(
+            f"start_method applies to backend='process' only, got {name!r}"
+        )
+    return ProcessBackend(n_jobs, start_method=start_method)

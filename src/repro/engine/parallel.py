@@ -1,10 +1,12 @@
 """The clustering engine: every fit phase, one worker session.
 
-:class:`ClusteringEngine` is the object
-:class:`~repro.core.framework.BaseLSHAcceleratedClustering` delegates
-its phases to.  A fit opens **one** :class:`EngineFitSession` (and,
-on parallel backends, exactly one worker pool) that lives from the
-exhaustive setup pass to the last iteration:
+:meth:`~repro.core.framework.BaseLSHAcceleratedClustering.fit` opens
+**one** :class:`FitSession`, and with it exactly one
+:class:`~repro.engine.pool.PersistentPool`, that lives from the
+exhaustive setup pass to the last iteration.  Every backend takes the
+same path: each phase maps a module-level chunk kernel over the
+session's item spans, and on ``serial`` the pool runs that kernel
+in-process over the one span ``(0, n)``.  The phases:
 
 * **exhaustive assignment** (setup) — row chunks through the model's
   own ``_exhaustive_assign`` kernel, merged by concatenation;
@@ -29,13 +31,14 @@ Bulky state crosses into workers exactly once.  The item matrix rides
 the session's static payload (copy-on-write under ``fork``, a
 :mod:`multiprocessing.shared_memory` segment under ``spawn``); state
 created *after* the pool opened — the flattened neighbour CSR —
-always travels as shared-memory handles inside the small per-task
-``dynamic`` tuples (see :mod:`repro.engine.shared`).
+always travels as :class:`~repro.engine.shared.SharedArray` handles
+(zero-copy in-process, shared memory for process pools) inside the
+small per-task ``dynamic`` tuples.
 
-Semantics: with ``update_refs='online'`` the serial backend runs the
-paper's exact per-item pass (reassignments visible to later items in
-the same pass).  With ``update_refs='batch'`` **every** backend —
-serial included — runs the vectorised batch pass: per chunk, the
+Semantics: with ``update_refs='online'`` (serial only) the session
+runs the paper's exact per-item pass in-process (reassignments visible
+to later items in the same pass).  With ``update_refs='batch'``
+**every** backend runs the vectorised batch pass: per chunk, the
 ragged shortlists are built with one segmented sort
 (:func:`~repro.sorting.sorted_unique`) over ``group * k + label`` keys
 off the session's group-level neighbour CSR (items with identical band
@@ -52,20 +55,20 @@ From the second batch pass on, a session rescores only what can
 change.  It keeps references to the centroids and labels the previous
 pass was given and marks a neighbour group *dirty* when an item of its
 list changed label or sits in a cluster whose centroid row changed
-(:func:`dirty_groups`; the parallel session reads the CSR through the
-handles it shares, and the mask rides in the pass's ``dynamic``
-tuple).  Every group's shortlist is still built, so shortlist totals
-and maxima are those of a full pass, but only dirty groups' items are
-scored.  This is exact: a clean item kept its label in the previous
-pass against the same shortlist and the same centroid rows, and it is
-in its own list, so had it moved its group would be dirty.
+(:func:`dirty_groups`; the session reads the CSR through the handles
+it shares, and the mask rides in the pass's ``dynamic`` tuple).  Every
+group's shortlist is still built, so shortlist totals are those of a
+full pass, but only dirty groups' items are scored.  This is exact: a
+clean item kept its label in the previous pass against the same
+shortlist and the same centroid rows, and it is in its own list, so
+had it moved its group would be dirty.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.backends import ExecutionBackend, resolve_backend
+from repro.engine.backends import ExecutionBackend
 from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.pool import PersistentPool
 from repro.engine.shared import SharedArray, resolve_array
@@ -75,7 +78,7 @@ from repro.lsh.bands import compute_band_keys
 from repro.lsh.index import ClusteredLSHIndex, grouped_neighbour_csr
 from repro.sorting import sorted_unique
 
-__all__ = ["ClusteringEngine", "backend_from_spec", "dirty_groups", "resolve_engine"]
+__all__ = ["FitSession", "dirty_groups"]
 
 #: Rough element budget for one padded ``(rows, smax, m)`` distance
 #: tensor inside a chunk worker; blocks are sliced to stay under it.
@@ -105,18 +108,14 @@ def _exhaustive_chunk(
     return chunk_labels
 
 
-def _band_keys(model, X: np.ndarray) -> np.ndarray:
-    """The ``(n, bands)`` bucket keys of ``X``'s signatures."""
-    return compute_band_keys(model._signatures(X), model.bands, model.rows)
-
-
 @traced("fit.signature_chunk")
 def _signature_chunk(static: tuple, dynamic: None, span: tuple[int, int]) -> np.ndarray:
-    """Band keys of one row span (encoding state already frozen)."""
+    """The ``(rows, bands)`` bucket keys of one row span (encoding state
+    already frozen)."""
     model, x_ref = static
-    X = resolve_array(x_ref)
     start, stop = span
-    return _band_keys(model, X[start:stop])
+    signatures = model._signatures(resolve_array(x_ref)[start:stop])
+    return compute_band_keys(signatures, model.bands, model.rows)
 
 
 def best_shortlisted_centroids(
@@ -219,7 +218,7 @@ def dirty_groups(
 @traced("fit.assignment_chunk")
 def _assignment_chunk(
     static: tuple, dynamic: tuple, span: tuple[int, int]
-) -> tuple[np.ndarray, int, int, int]:
+) -> tuple[np.ndarray, int, int]:
     """One chunk of a batch assignment pass.
 
     ``dynamic`` is ``(centroids, labels, csr)`` or ``(centroids, labels,
@@ -228,8 +227,8 @@ def _assignment_chunk(
     without one (or with ``None``) every item is scored.  Shortlist
     sizes are counted for every item either way.
 
-    Returns ``(new_labels_chunk, moves, shortlist_total, shortlist_max)``;
-    the session merges chunks in task order.
+    Returns ``(new_labels_chunk, moves, shortlist_total)``; the session
+    merges chunks in task order.
     """
     model, x_ref = static
     X = resolve_array(x_ref)
@@ -266,7 +265,6 @@ def _assignment_chunk(
     group_starts = np.zeros(len(chunk_groups), dtype=np.int64)
     np.cumsum(group_sizes[:-1], out=group_starts[1:])
     shortlist_total = int(group_sizes[local_group].sum())
-    shortlist_max = int(group_sizes.max()) if len(group_sizes) else 0
 
     out = labels[start:stop].copy()
     scored = None if dirty is None else np.flatnonzero(dirty[span_groups])
@@ -298,19 +296,17 @@ def _assignment_chunk(
         keep = current_distance <= best_distance
         out[rows] = np.where(keep, current, best_label)
         moves += int(np.count_nonzero(~keep))
-    return out, moves, shortlist_total, shortlist_max
+    return out, moves, shortlist_total
 
 
 # ----------------------------------------------------------------------
-# fit sessions
+# the fit session
 # ----------------------------------------------------------------------
 
 
-def _build_index(
-    model, band_keys: np.ndarray, labels: np.ndarray
-) -> ClusteredLSHIndex:
-    """The fit's clustered index, built in-process on any backend."""
-    return ClusteredLSHIndex.from_band_keys(model.bands, model.rows, band_keys, labels)
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """Chunk results in task order as one array; a lone chunk as it is."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 class _DirtyTracker:
@@ -332,86 +328,31 @@ class _DirtyTracker:
         return dirty_groups(csr, labels, previous[1], centroids, previous[0])
 
 
-class _SerialFitSession:
-    """In-process fit session: the model's own kernels, zero overhead.
-
-    The assignment loop honours ``update_refs``: ``'online'`` runs the
-    paper's per-item pass unchanged; ``'batch'`` runs the vectorised
-    chunk kernel on the full span (identical labels, far fewer Python
-    dispatches).  Both walk the neighbour CSR ``build_index`` builds.
-    Tests can pin ``model._force_per_item_pass = True`` to keep the
-    per-item batch pass as an equivalence reference.
-    """
-
-    #: Pool spin-up cost; zero by construction for the serial session.
-    open_s = 0.0
-
-    def __init__(self, model, X: np.ndarray):
-        self._model = model
-        self._X = X
-        self._index: ClusteredLSHIndex | None = None
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._dirty = _DirtyTracker()
-
-    def __enter__(self) -> "_SerialFitSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def exhaustive_assign(
-        self, centroids: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        return self._model._exhaustive_assign(self._X, centroids, labels)
-
-    def band_keys(self) -> np.ndarray:
-        return _band_keys(self._model, self._X)
-
-    def build_index(
-        self, band_keys: np.ndarray, labels: np.ndarray
-    ) -> ClusteredLSHIndex:
-        self._index = _build_index(self._model, band_keys, labels)
-        self._csr = grouped_neighbour_csr(self._index.band_keys)
-        return self._index
-
-    def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
-        model = self._model
-        assert self._index is not None, "build_index must run before passes"
-        if model.update_refs == "online" or getattr(
-            model, "_force_per_item_pass", False
-        ):
-            return model._shortlist_pass(
-                self._X, centroids, labels, self._index, self._csr, accumulator
-            )
-        n = self._X.shape[0]
-        dirty = self._dirty.mask(self._csr, centroids, labels)
-        out, moves, total, smax = _assignment_chunk(
-            (model, self._X), (centroids, labels, self._csr, dirty), (0, n)
-        )
-        accumulator.add_many(total, n, smax)
-        self._index.set_assignments(out)
-        return out, moves
-
-    def close(self) -> None:
-        self._csr = None
-
-
-class _ParallelFitSession:
-    """One worker pool serving every phase of one fit.
+class FitSession:
+    """One pool serving every phase of one fit, on any backend.
 
     Opening the session spins up the backend's workers exactly once
-    (``open_s`` records the cost); the item matrix is pinned as static
-    session state, and everything computed later — the per-item
-    neighbour CSR — reaches the workers through
-    :class:`~repro.engine.shared.SharedArray` handles riding the small
-    per-task ``dynamic`` tuples.
+    (``open_s`` records the cost; on ``serial`` it is pool bookkeeping
+    only); the item matrix is pinned as static session state, and
+    everything computed later — the neighbour CSR — reaches the workers
+    through :class:`~repro.engine.shared.SharedArray` handles riding the
+    small per-task ``dynamic`` tuples.  Use as a context manager: the
+    pool (and any shared-memory segments) lives exactly as long as the
+    session.
+
+    Passes honour ``update_refs``: ``'online'`` runs the paper's
+    per-item pass (``model._shortlist_pass``) in-process; ``'batch'``
+    maps the vectorised chunk kernel over the spans.  Tests can pin
+    ``model._force_per_item_pass = True`` to keep the per-item batch
+    pass as an equivalence reference.
     """
 
     def __init__(self, backend: ExecutionBackend, model, X: np.ndarray):
         self._model = model
         self._X = X
-        self._n = X.shape[0]
-        self._backend = backend
+        # a serial backend's n_jobs has no effect: one in-process span
+        workers = backend.n_jobs if backend.is_parallel else 1
+        self._spans = chunk_ranges(X.shape[0], workers)
         # Freeze data-dependent encoding state (e.g. the inferred token
         # domain) on the FULL matrix before workers snapshot the model,
         # so a chunk's local statistics can never change the encoding.
@@ -426,8 +367,6 @@ class _ParallelFitSession:
             # the session fails.
             x_ref = backend.share_array(X)
             pre_handles = (x_ref,)
-        # span-reported pool spin-up: the same Timer reading the old
-        # code published, now also visible in the metrics registry.
         with trace_span("fit.session_open", backend=backend.name) as open_span:
             self._pool = PersistentPool(
                 backend,
@@ -440,112 +379,59 @@ class _ParallelFitSession:
         self._csr_refs: tuple[SharedArray, SharedArray, SharedArray] | None = None
         self._dirty = _DirtyTracker()
 
-    def __enter__(self) -> "_ParallelFitSession":
+    def __enter__(self) -> "FitSession":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _share(self, array: np.ndarray) -> SharedArray:
-        return self._pool.share(array)
-
-    def exhaustive_assign(
-        self, centroids: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        spans = chunk_ranges(self._n, self._backend.n_jobs)
-        chunks = self._pool.run(
-            _exhaustive_chunk, spans, dynamic=(centroids, labels)
+    def exhaustive_assign(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Labels after one exhaustive pass against every centroid."""
+        return _joined(
+            self._pool.run(_exhaustive_chunk, self._spans, dynamic=(centroids, labels))
         )
-        new_labels = np.concatenate(chunks)
-        moves = int(np.count_nonzero(new_labels != labels))
-        return new_labels, moves
 
     def band_keys(self) -> np.ndarray:
-        spans = chunk_ranges(self._n, self._backend.n_jobs)
-        return np.concatenate(self._pool.run(_signature_chunk, spans))
+        """The ``(n, bands)`` bucket keys, banded where they were hashed."""
+        return _joined(self._pool.run(_signature_chunk, self._spans))
 
     def build_index(
         self, band_keys: np.ndarray, labels: np.ndarray
     ) -> ClusteredLSHIndex:
-        # In the parent, as a serial fit: the workers only ever read
-        # the neighbour CSR built from it.
-        self._index = _build_index(self._model, band_keys, labels)
+        """The fit's index and its neighbour lists, built in-process."""
+        model = self._model
+        self._index = ClusteredLSHIndex.from_band_keys(
+            model.bands, model.rows, band_keys, labels
+        )
         self._csr_refs = tuple(
-            self._share(part)
+            self._pool.share(part)
             for part in grouped_neighbour_csr(self._index.band_keys)
         )
         return self._index
 
-    def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
+    def run_pass(
+        self, centroids: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, int, int]:
+        """One assignment pass: ``(labels, moves, shortlist_total)``."""
         assert self._index is not None, "build_index must run before passes"
-        spans = chunk_ranges(self._n, self._backend.n_jobs)
+        model = self._model
         csr = tuple(ref.get() for ref in self._csr_refs)
+        if model.update_refs == "online" or getattr(
+            model, "_force_per_item_pass", False
+        ):
+            return model._shortlist_pass(self._X, centroids, labels, self._index, csr)
         dirty = self._dirty.mask(csr, centroids, labels)
         results = self._pool.run(
             _assignment_chunk,
-            spans,
+            self._spans,
             dynamic=(centroids, labels, self._csr_refs, dirty),
         )
-        new_labels = np.concatenate([chunk for chunk, _, _, _ in results])
-        moves = sum(chunk_moves for _, chunk_moves, _, _ in results)
-        accumulator.add_many(
-            sum(total for _, _, total, _ in results),
-            self._n,
-            max(chunk_max for _, _, _, chunk_max in results),
-        )
+        new_labels = _joined([chunk for chunk, _, _ in results])
         self._index.set_assignments(new_labels)
-        return new_labels, moves
+        moves = sum(chunk_moves for _, chunk_moves, _ in results)
+        return new_labels, moves, sum(total for _, _, total in results)
 
     def close(self) -> None:
-        with trace_span("fit.session_close", backend=self._backend.name):
+        with trace_span("fit.session_close", backend=self._pool.backend.name):
             self._pool.close()
-
-
-EngineFitSession = _SerialFitSession | _ParallelFitSession
-
-
-# ----------------------------------------------------------------------
-# the engine
-# ----------------------------------------------------------------------
-
-
-class ClusteringEngine:
-    """Executes the phases of one fit on a chosen backend.
-
-    Parameters
-    ----------
-    backend:
-        Where kernels run; see :mod:`repro.engine.backends`.
-    """
-
-    def __init__(self, backend: ExecutionBackend):
-        self.backend = backend
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.backend.is_parallel
-
-    def fit_session(self, model, X: np.ndarray) -> EngineFitSession:
-        """Open the one session serving every phase of this fit.
-
-        Use as a context manager; on parallel backends the worker pool
-        (and any shared-memory segments) lives exactly as long as the
-        session.
-        """
-        if not self.is_parallel:
-            return _SerialFitSession(model, X)
-        return _ParallelFitSession(self.backend, model, X)
-
-
-def backend_from_spec(spec) -> ExecutionBackend:
-    """Build the :class:`ExecutionBackend` an ``EngineSpec`` describes."""
-    if spec.backend == "process" and spec.start_method is not None:
-        from repro.engine.backends import ProcessBackend
-
-        return ProcessBackend(spec.n_jobs, start_method=spec.start_method)
-    return resolve_backend(spec.backend, spec.n_jobs)
-
-
-def resolve_engine(spec) -> ClusteringEngine:
-    """Build the :class:`ClusteringEngine` an ``EngineSpec`` describes."""
-    return ClusteringEngine(backend_from_spec(spec))
+        self._csr_refs = None

@@ -1,7 +1,7 @@
 """Persistent worker pools: one pool, many dispatches, explicit lifetime.
 
-The engine's original contract tied a worker pool's lifetime to one fit
-(:class:`~repro.engine.parallel.EngineFitSession`).  Serving breaks
+A fit ties a worker pool's lifetime to itself
+(:class:`~repro.engine.parallel.FitSession`).  Serving breaks
 that shape: a :class:`repro.serve.ModelServer` answers an unbounded
 stream of predict batches and must keep its workers warm *across*
 calls.  :class:`PersistentPool` is the lifetime-owning object both

@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
-from repro.core.shortlist import ShortlistAccumulator
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.kmodes.kmodes import KModes
 from repro.lsh.index import grouped_neighbour_csr
@@ -116,18 +115,16 @@ class TestShortlistBehaviour:
                 expected[i] = shortlist[np.argmin(distances)]
                 expected_moves += 1
 
-        accumulator = ShortlistAccumulator()
-        labels, moves = model._shortlist_pass(
+        labels, moves, total = model._shortlist_pass(
             ds.X,
             centroids,
             start.copy(),
             index,
             grouped_neighbour_csr(index.band_keys),
-            accumulator,
         )
         assert expected_moves > 0
         assert moves == expected_moves
-        assert accumulator.mean() == expected_total / ds.n_items
+        assert total == expected_total
         assert np.array_equal(labels, expected)
 
 

@@ -5,46 +5,11 @@ import pytest
 
 from repro.api import LSHSpec
 from repro.core.mh_kmodes import MHKModes
-from repro.core.shortlist import (
-    ShortlistAccumulator,
-    apply_fallback,
-    best_centroids_full_scan,
-)
+from repro.core.shortlist import apply_fallback, best_centroids_full_scan
 from repro.data.io import load_cluster_model, save_model
 from repro.exceptions import ConfigurationError
 from repro.kmeans.mh_kmeans import LSHKMeans
 from repro.kmodes.dissimilarity import pairwise_matching
-
-
-class TestShortlistAccumulator:
-    def test_mean(self):
-        acc = ShortlistAccumulator()
-        acc.add(2)
-        acc.add(4)
-        assert acc.mean() == 3.0
-
-    def test_empty_mean_is_nan(self):
-        assert np.isnan(ShortlistAccumulator().mean())
-
-    def test_max_tracking(self):
-        acc = ShortlistAccumulator()
-        for size in (3, 9, 1):
-            acc.add(size)
-        assert acc.max == 9
-
-    def test_add_many(self):
-        acc = ShortlistAccumulator()
-        acc.add_many(total=10, count=4, max_size=5)
-        assert acc.mean() == 2.5
-        assert acc.count == 4
-        assert acc.max == 5
-
-    def test_reset(self):
-        acc = ShortlistAccumulator()
-        acc.add(5)
-        acc.reset()
-        assert acc.count == 0
-        assert np.isnan(acc.mean())
 
 
 class TestApplyFallback:

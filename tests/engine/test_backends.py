@@ -32,7 +32,8 @@ def backend(request):
 
 class TestRunSemantics:
     def test_results_in_task_order(self, backend):
-        chunks = backend.run(_scale_chunk, SPANS, static=VALUES, dynamic=3)
+        with backend.session(VALUES) as session:
+            chunks = session.run(_scale_chunk, SPANS, dynamic=3)
         assert np.array_equal(np.concatenate(chunks), VALUES * 3)
 
     def test_session_reuse_with_changing_dynamic(self, backend):
@@ -43,7 +44,8 @@ class TestRunSemantics:
         assert np.array_equal(np.concatenate(second), VALUES * 2)
 
     def test_empty_task_list(self, backend):
-        assert backend.run(_scale_chunk, [], static=VALUES) == []
+        with backend.session(VALUES) as session:
+            assert session.run(_scale_chunk, []) == []
 
 
 class TestResolution:
@@ -52,13 +54,15 @@ class TestResolution:
         assert isinstance(resolve_backend("thread"), ThreadBackend)
         assert isinstance(resolve_backend("process"), ProcessBackend)
 
-    def test_instance_passes_through(self):
-        backend = ThreadBackend(n_jobs=3)
-        assert resolve_backend(backend) is backend
+    def test_start_method_reaches_the_process_backend(self):
+        backend = resolve_backend("process", n_jobs=2, start_method="spawn")
+        assert isinstance(backend, ProcessBackend)
+        assert (backend.n_jobs, backend.start_method) == (2, "spawn")
+        assert not backend.inherits_static
 
-    def test_instance_with_conflicting_n_jobs_rejected(self):
+    def test_start_method_off_the_process_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_backend(ThreadBackend(n_jobs=3), n_jobs=5)
+            resolve_backend("thread", start_method="spawn")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):

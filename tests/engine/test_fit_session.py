@@ -18,20 +18,22 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.framework as framework
 import repro.engine.parallel as parallel_module
 from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.core.streaming import StreamingMHKModes
 from repro.data.datgen import RuleBasedGenerator
 from repro.engine import (
-    ClusteringEngine,
     ProcessBackend,
     SerialBackend,
     SharedArray,
     ThreadBackend,
+    live_pool_count,
     resolve_array,
+    resolve_backend,
 )
-from repro.engine.parallel import backend_from_spec
+from repro.exceptions import EmptyClusterError
 from repro.obs import capture_metrics
 from repro.lsh.index import BaseClusteredIndex, grouped_neighbour_csr
 
@@ -60,17 +62,16 @@ def _fit(X, initial, engine=EngineSpec()):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Run every ``MHKModes`` fit of the test on one backend instance.
+    """Run every fit of the test on one backend instance.
 
     A fit builds its backend from the ``EngineSpec`` afresh, so a test
-    that counts sessions hands its own instance to the engine through
-    ``_make_engine``.  Returns the installer; it returns the backend.
+    that counts sessions hands its own instance to the fit through the
+    resolver ``repro.core.framework`` calls.  Returns the installer; it
+    returns the backend.
     """
 
     def install(backend):
-        monkeypatch.setattr(
-            MHKModes, "_make_engine", lambda self: ClusteringEngine(backend)
-        )
+        monkeypatch.setattr(framework, "resolve_backend", lambda *spec: backend)
         return backend
 
     return install
@@ -78,21 +79,47 @@ def counted(monkeypatch):
 
 THREAD_X2 = EngineSpec(backend="thread", n_jobs=2)
 
+ENGINES = {
+    "serial": EngineSpec(),
+    "thread": THREAD_X2,
+    "process": EngineSpec(backend="process", n_jobs=2),
+}
+
+
+def _emptying_fit(engine: EngineSpec) -> MHKModes:
+    """A fit whose first pass empties cluster 1, under the 'error' policy.
+
+    Items ``u`` and ``v`` share cluster 1 after the exhaustive pass, but
+    its mode lies two attributes from each, while the updated modes of
+    clusters 0 and 2 lie one attribute from ``u`` and ``v``.
+    """
+    p, u, v, q = [1, 9, 1, 0], [1, 9, 1, 9], [9, 1, 9, 1], [9, 1, 9, 0]
+    model = MHKModes(
+        n_clusters=3,
+        lsh=LSHSpec(bands=8, rows=1, seed=0),
+        engine=engine,
+        train=TrainSpec(
+            max_iter=10, update_refs="batch", empty_cluster_policy="error"
+        ),
+    )
+    return model.fit(
+        np.array([p, p, u, v, q, q]),
+        initial_centroids=np.array([[0, 0, 1, 0], [1, 1, 1, 1], [0, 1, 9, 0]]),
+    )
+
 
 class TestOnePoolPerFit:
-    @pytest.mark.parametrize(
-        "engine",
-        [THREAD_X2, EngineSpec(backend="process", n_jobs=2)],
-        ids=["thread", "process"],
-    )
+    @pytest.mark.parametrize("engine", list(ENGINES.values()), ids=list(ENGINES))
     def test_single_session_spans_all_phases(self, workload, engine, counted):
         X, initial = workload
-        backend = counted(backend_from_spec(engine))
+        backend = counted(resolve_backend(engine.backend, engine.n_jobs))
+        baseline = live_pool_count()
         assert backend.sessions_opened == 0
         _fit(X, initial, engine)
         # exhaustive + signatures + index build + every iteration pass
-        # all ran on ONE pool
+        # all ran on ONE pool, closed when the fit returned
         assert backend.sessions_opened == 1
+        assert live_pool_count() == baseline
 
     def test_each_fit_opens_its_own_session(self, workload, counted):
         X, initial = workload
@@ -102,26 +129,49 @@ class TestOnePoolPerFit:
         assert backend.sessions_opened == 2
 
     def test_session_open_phase_recorded(self, workload):
+        # the serial pool opens in-process, but opening it is still timed
         X, initial = workload
-        model = _fit(X, initial, THREAD_X2)
-        assert "session_open" in model.stats_.phase_s
-        assert model.stats_.phase_s["session_open"] >= 0.0
-        serial = _fit(X, initial)
-        assert serial.stats_.phase_s["session_open"] == 0.0
+        for engine in (THREAD_X2, EngineSpec()):
+            assert _fit(X, initial, engine).stats_.phase_s["session_open"] > 0.0
 
-    def test_pool_teardown_is_one_span(self, workload):
+    @pytest.mark.parametrize("engine", list(ENGINES.values()), ids=list(ENGINES))
+    def test_pool_teardown_is_one_span(self, workload, engine):
         """Closing a fit's pool is timed like opening it, once per fit."""
         X, initial = workload
-        for engine, closes in (
-            (EngineSpec(backend="process", n_jobs=2), 1),
-            (EngineSpec(), 0),
-        ):
-            with capture_metrics() as registry:
-                _fit(X, initial, engine)
-            calls = registry.value(
-                "repro_span_calls_total", {"span": "fit.session_close"}
-            )
-            assert (calls or 0) == closes, engine.backend
+        with capture_metrics() as registry:
+            _fit(X, initial, engine)
+        for span in ("fit.session_open", "fit.session_close"):
+            assert registry.value("repro_span_calls_total", {"span": span}) == 1
+
+    def test_serial_pool_runs_one_span(self, workload):
+        # a serial backend's n_jobs has no effect on how a fit is split
+        X, initial = workload
+        with capture_metrics() as registry:
+            _fit(X, initial, EngineSpec(n_jobs=3))
+        for span in ("fit.exhaustive_chunk", "fit.signature_chunk"):
+            assert registry.value("repro_span_calls_total", {"span": span}) == 1
+        batch_passes = registry.value(
+            "repro_span_calls_total", {"span": "fit.assignment_chunk"}
+        )
+        assert batch_passes == registry.value(
+            "repro_span_calls_total", {"span": "fit.iterations"}
+        )
+
+    @pytest.mark.parametrize("engine", list(ENGINES.values()), ids=list(ENGINES))
+    def test_a_fit_that_raises_closes_its_pool(self, engine, counted):
+        backend = counted(resolve_backend(engine.backend, engine.n_jobs))
+        baseline = live_pool_count()
+        with capture_metrics() as registry:
+            with pytest.raises(EmptyClusterError):
+                _emptying_fit(engine)
+        assert backend.sessions_opened == 1
+        for span in ("fit.session_open", "fit.session_close"):
+            assert registry.value("repro_span_calls_total", {"span": span}) == 1
+        # the pass ran: the error came from the mode update after it
+        assert registry.value(
+            "repro_span_calls_total", {"span": "fit.assignment_chunk"}
+        )
+        assert live_pool_count() == baseline
 
 
 _KERNEL_THEN_FORK = """
@@ -355,7 +405,7 @@ class TestSpawnContext:
     ):
         X, initial = workload
         engine = EngineSpec(backend="process", n_jobs=2, start_method="spawn")
-        backend = backend_from_spec(engine)
+        backend = resolve_backend(engine.backend, engine.n_jobs, engine.start_method)
         assert not backend.inherits_static
         # the engine must route the item matrix through shared memory —
         # share_array is the only transport spawn sessions get

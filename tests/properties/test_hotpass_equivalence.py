@@ -237,13 +237,13 @@ class TestDirtyGroupPasses:
             scored[-1].append(len(block))
             return score(model, block, *rest)
 
-        for session in (parallel_mod._SerialFitSession, parallel_mod._ParallelFitSession):
+        run_pass = parallel_mod.FitSession.run_pass
 
-            def counted(self, *args, _run_pass=session.run_pass):
-                scored.append([])
-                return _run_pass(self, *args)
+        def counted(self, *args):
+            scored.append([])
+            return run_pass(self, *args)
 
-            monkeypatch.setattr(session, "run_pass", counted)
+        monkeypatch.setattr(parallel_mod.FitSession, "run_pass", counted)
         monkeypatch.setattr(parallel_mod, "best_shortlisted_centroids", spy)
         model = _fit_kmodes(X, initial, **engine)
         rows = [sum(calls) for calls in scored]
@@ -265,7 +265,7 @@ class TestDirtyGroupPasses:
         masked = _assignment_chunk((model, X), (*dynamic, clean), (0, len(X)))
         assert full[1] > 0
         assert np.array_equal(masked[0], labels) and masked[1] == 0
-        assert masked[2:] == full[2:]  # shortlist total and maximum
+        assert masked[2:] == full[2:]  # shortlist total
         # an all-dirty mask is the full pass
         every = _assignment_chunk((model, X), (*dynamic, ~clean), (0, len(X)))
         assert np.array_equal(every[0], full[0]) and every[1:] == full[1:]

@@ -4,7 +4,7 @@ The subprocess test at the bottom is the PR's acceptance contract (and
 the CI serve-smoke artifact source): a real ``repro serve --http``
 subprocess answers 100 predict requests, then ``GET /metrics`` must
 show them in the Prometheus counters and histograms.  The scraped
-snapshot is written to ``benchmarks/results/serve_metrics.json`` so CI
+snapshot is written to ``.bench_build/results/serve_metrics.json`` so CI
 uploads it next to ``BENCH_serve.json``.
 """
 
@@ -31,7 +31,7 @@ from repro.exceptions import ConfigurationError, DataValidationError
 from repro.serve import ModelServer, handle_request, make_http_server
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
+RESULTS_DIR = REPO_ROOT / ".bench_build" / "results"
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,7 @@ class TestMetricsSubprocessAcceptance:
             assert health["latency_s"]["p50"] >= 0.0
 
             # Persist the scraped view for the CI artifact upload.
-            RESULTS_DIR.mkdir(exist_ok=True)
+            RESULTS_DIR.mkdir(parents=True, exist_ok=True)
             (RESULTS_DIR / "serve_metrics.json").write_text(
                 json.dumps(
                     {
