@@ -279,8 +279,10 @@ class EngineSpec(Spec):
         Worker count for parallel backends (``None``: one per CPU).
     chunk_items:
         Row block of the exhaustive setup pass and of the categorical
-        empty-shortlist full scan (capped for large k so one block's
-        temporaries stay under a fixed memory budget).
+        empty-shortlist full scan where they run on the dense compare
+        or the NumPy kernel tier (capped for large k so one block's
+        temporaries stay under a fixed memory budget); the compiled
+        postings kernel scores every row in one call.
     start_method:
         Multiprocessing start method for the process backend
         (``None``: ``'fork'`` where available, platform default

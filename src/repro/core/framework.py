@@ -122,6 +122,11 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
     _supported_inits: tuple[str, ...] = ("random",)
     _supported_empty_policies: tuple[str, ...] = ("keep", "reinit", "error")
 
+    #: ``True`` when ``_block_distances`` is the matching dissimilarity
+    #: on integer codes: shortlists are then scored by the compiled
+    #: :func:`repro.kernels.shortlist_matching`.
+    _matching_distance = False
+
     def __init__(
         self,
         n_clusters: int,
@@ -287,8 +292,12 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
     @abc.abstractmethod
     def _exhaustive_assign(
         self, X: np.ndarray, centroids: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Assign every item against every centroid; returns (labels, moves)."""
+    ) -> np.ndarray:
+        """Assign every item against every centroid; returns the labels.
+
+        A row whose current label (``labels >= 0``) is at least as close
+        as the nearest centroid keeps it.
+        """
 
     @abc.abstractmethod
     def _point_distances(

@@ -86,6 +86,7 @@ class MHKModes(BaseLSHAcceleratedClustering):
     _default_train = TrainSpec()
     _supported_families = ("minhash",)
     _supported_inits = ("random", "huang", "cao")
+    _matching_distance = True
 
     def __init__(
         self,
@@ -175,12 +176,11 @@ class MHKModes(BaseLSHAcceleratedClustering):
 
     def _exhaustive_assign(
         self, X: np.ndarray, centroids: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, int]:
+    ) -> np.ndarray:
         new_labels, _ = ModePostings(centroids).nearest(
             X, current=labels, block_rows=self.chunk_items
         )
-        moves = int(np.count_nonzero(new_labels != labels))
-        return new_labels, moves
+        return new_labels
 
     def _mode_postings(self, centroids: np.ndarray) -> ModePostings:
         # The empty-shortlist full scan runs against the model's modes

@@ -42,8 +42,10 @@ to later items in the same pass).  With ``update_refs='batch'``
 ragged shortlists are built with one segmented sort
 (:func:`~repro.sorting.sorted_unique`) over ``group * k + label`` keys
 off the session's group-level neighbour CSR (items with identical band
-keys share one neighbour list *and* one shortlist), padded into a dense
-block, and scored with the model's ``_block_distances`` kernel.
+keys share one neighbour list *and* one shortlist) and scored by
+:func:`best_shortlisted_centroids` — the compiled
+:func:`repro.kernels.shortlist_matching` for MH-K-Modes, padded tiles
+through the model's ``_block_distances`` kernel otherwise.
 Tie-breaking replicates the per-item rule (keep the current cluster
 whenever it is at least as close as the best candidate; first minimum
 wins among the sorted shortlist), so a batch pass partitions into
@@ -68,10 +70,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.engine.backends import ExecutionBackend
 from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.pool import PersistentPool
 from repro.engine.shared import SharedArray, resolve_array
+from repro.kernels._numpy import shortlist_argmin
 from repro.obs import span as trace_span
 from repro.obs import traced
 from repro.lsh.bands import compute_band_keys
@@ -80,11 +84,7 @@ from repro.sorting import sorted_unique
 
 __all__ = ["FitSession", "dirty_groups"]
 
-#: Rough element budget for one padded ``(rows, smax, m)`` distance
-#: tensor inside a chunk worker; blocks are sliced to stay under it.
-_BLOCK_ELEMENT_BUDGET = 4_000_000
-
-#: Items handled per vectorised sub-block before memory capping.
+#: Items a batch pass scores per sub-block.
 _BLOCK_ITEMS = 1024
 
 
@@ -102,10 +102,7 @@ def _exhaustive_chunk(
     X = resolve_array(x_ref)
     (centroids, labels) = dynamic
     start, stop = span
-    chunk_labels, _ = model._exhaustive_assign(
-        X[start:stop], centroids, labels[start:stop]
-    )
-    return chunk_labels
+    return model._exhaustive_assign(X[start:stop], centroids, labels[start:stop])
 
 
 @traced("fit.signature_chunk")
@@ -128,68 +125,23 @@ def best_shortlisted_centroids(
     """First-minimum centroid per row over ragged candidate lists.
 
     ``candidates`` concatenates each row's (non-empty, sorted) centroid
-    shortlist; ``sizes`` holds the per-row lengths.  The ragged lists
-    are padded into dense per-block ``(rows, smax)`` tiles, scored with
-    the model's vectorised ``_block_distances`` kernel in memory-capped
-    row slices, and reduced with a masked argmin.  Because every
+    shortlist; ``sizes`` holds the per-row lengths.  Because every
     shortlist is sorted, the first minimum is the smallest-id centroid
     among the ties — exactly what a per-row ``np.argmin`` over the same
-    shortlist would pick.
+    shortlist would pick.  Models scored by the matching dissimilarity
+    (``model._matching_distance``) go through
+    :func:`repro.kernels.shortlist_matching`; every other model pads
+    the lists into tiles for its own ``_block_distances``
+    (:func:`~repro.kernels._numpy.shortlist_argmin`).
 
-    When the size distribution is skewed (a few huge shortlists among
-    many tiny ones — typical for novel items hitting the predict
-    fallback neighbourhoods), rows are processed in size-sorted order
-    so each tile pads only to *its own* maximum, instead of every row
-    paying for the global one.  Results are per-row and therefore
-    identical under any processing order.
-
-    Returns ``(best_label, best_distance)`` per row.
+    Returns ``(best_label, best_distance)`` per row, int64 and float64.
     """
-    count, m = block.shape
-    smax = int(sizes.max())
-    offsets = np.zeros(count, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-
-    # Size-sort only when padding to the global smax would inflate the
-    # scored elements noticeably; unskewed inputs keep row order (and
-    # the argsort off the hot per-iteration pass).
-    skewed = smax * count >= 2 * len(candidates)
-    order = np.argsort(sizes, kind="stable") if skewed else None
-
-    best_label = np.empty(count, dtype=np.int64)
-    best_distance = np.empty(count, dtype=np.float64)
-    for c0, c1 in iter_blocks(0, count, _BLOCK_ITEMS):
-        chunk_sel = order[c0:c1] if skewed else slice(c0, c1)
-        chunk_smax = int(sizes[chunk_sel].max())
-        rows_at_once = max(1, _BLOCK_ELEMENT_BUDGET // max(1, chunk_smax * m))
-        for r0, r1 in iter_blocks(c0, c1, rows_at_once):
-            rows_sel = order[r0:r1] if skewed else slice(r0, r1)
-            take = r1 - r0
-            tile_sizes = sizes[rows_sel]
-            tile_smax = int(tile_sizes.max())
-            flat = int(tile_sizes.sum())
-            row_ids = np.repeat(np.arange(take, dtype=np.int64), tile_sizes)
-            starts = np.zeros(take, dtype=np.int64)
-            np.cumsum(tile_sizes[:-1], out=starts[1:])
-            positions = np.arange(flat, dtype=np.int64) - np.repeat(
-                starts, tile_sizes
-            )
-            flat_idx = np.repeat(offsets[rows_sel], tile_sizes) + positions
-            padded = np.zeros((take, tile_smax), dtype=np.int64)
-            valid = np.zeros((take, tile_smax), dtype=bool)
-            padded[row_ids, positions] = candidates[flat_idx]
-            valid[row_ids, positions] = True
-
-            distances = np.asarray(
-                model._block_distances(block[rows_sel], centroids[padded]),
-                dtype=np.float64,
-            )
-            distances[~valid] = np.inf
-            rows = np.arange(take)
-            best_pos = np.argmin(distances, axis=1)
-            best_distance[rows_sel] = distances[rows, best_pos]
-            best_label[rows_sel] = padded[rows, best_pos]
-    return best_label, best_distance
+    if model._matching_distance:
+        labels, distances = kernels.shortlist_matching(
+            block, candidates, sizes, centroids
+        )
+        return labels, distances.astype(np.float64)
+    return shortlist_argmin(block, candidates, sizes, centroids, model._block_distances)
 
 
 def dirty_groups(

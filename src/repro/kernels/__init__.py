@@ -1,13 +1,20 @@
 """repro.kernels — compiled hot-path kernels with NumPy fallbacks.
 
-Two loops sit under every hot path: the ragged MinHash signature
+Four loops sit under the hot paths: the ragged MinHash signature
 computation (:mod:`repro.lsh.minhash`), which every fit, extend and
-predict runs over its rows, and the mode-count tensor update of the
-stream tracker's dense route (:mod:`repro.core.streaming`).  The
-benchmark's traced runs report their cost per operation as the
-``kernels.minhash_s`` and ``kernels.count_update_s`` layers
-(``perfbench/``).  This package provides compiled implementations of
-both behind a single selection seam:
+predict runs over its rows; the mode-count tensor update of the stream
+tracker's dense route (:mod:`repro.core.streaming`); the exact
+nearest-mode search over the mode postings
+(:class:`~repro.kmodes.postings.ModePostings`), which is the fit's
+exhaustive setup pass and the categorical empty-shortlist full scan;
+and the exact matching distance over each row's LSH shortlist
+(:func:`~repro.engine.parallel.best_shortlisted_centroids`), which
+every MH-K-Modes pass, ``predict`` and ``extend`` runs.  The
+benchmark's traced runs report the first two as the
+``kernels.minhash_s`` and ``kernels.count_update_s`` layers and the
+last two inside ``core.exhaustive_s``/``core.fallback_s`` and
+``engine.score_s`` (``perfbench/``).  This package provides compiled
+implementations of all four behind a single selection seam:
 
 ``minhash_signatures(indices, indptr, a, b, empty_slot)``
     CSR MinHash — one walk per item over its token list.
@@ -15,6 +22,15 @@ both behind a single selection seam:
 ``count_update(dense, values, labels)``
     Scatter-add into the ``(k, m, capacity)`` count tensor plus the
     post-batch gather of each triple's final count.
+
+``nearest_modes(X, current, runs, block_rows)``
+    First-minimum matching distance to all k modes, read off the
+    postings' sorted runs (:class:`ModeRuns`), with the keep-current
+    rule — one counter per mode instead of a ``(rows, k)`` block.
+
+``shortlist_matching(block, candidates, sizes, centroids)``
+    First-minimum matching distance over each row's ragged, sorted
+    candidate list — no padded ``(rows, smax, m)`` centroid tiles.
 
 Two backends, chosen under ``REPRO_KERNELS=auto`` (default):
 
@@ -25,7 +41,9 @@ Two backends, chosen under ``REPRO_KERNELS=auto`` (default):
     lanes, and on x86-64 glibc builds the dynamic loader picks its
     AVX-512, AVX2 or baseline clone for the CPU at load time.
     Single-threaded: row parallelism comes from the engine backends,
-    which split items across workers.
+    which split items across workers.  ``ctypes`` releases the GIL
+    during each call, so ``thread``-backend workers run the kernels in
+    parallel.
 ``numpy``
     The vectorised fallback (:mod:`repro.kernels._numpy`) — always
     available, and the conformance oracle for the compiled tier
@@ -39,7 +57,8 @@ that it is not recognised and selects ``auto``.
 
 Both backends are bit-identical on the supported domain (tokens and
 coefficients below ``2**31``, category codes within the tensor
-capacity); ``tests/kernels/`` enforces this, and the extend/hot-pass
+capacity, any int64 codes for the two matching kernels);
+``tests/kernels/`` enforces this, and the extend/hot-pass
 property suites pin the end-to-end behaviour.  Selection is lazy (first
 kernel call) and per-process, so ``PersistentPool`` workers re-resolve
 after fork/spawn — nothing ctypes-owned ever crosses a pickle
@@ -52,18 +71,29 @@ import functools
 import os
 import threading
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.exceptions import DataValidationError
 from repro.kernels import _numpy
 from repro.kernels._cbuild import (
     KernelBuildError,
     c_count_update,
     c_minhash_signatures,
+    c_nearest_modes,
+    c_shortlist_matching,
     load_compiled,
 )
 
-__all__ = ["minhash_signatures", "count_update", "active_backend"]
+__all__ = [
+    "minhash_signatures",
+    "count_update",
+    "nearest_modes",
+    "shortlist_matching",
+    "ModeRuns",
+    "active_backend",
+]
 
 _lock = threading.Lock()
 
@@ -71,9 +101,35 @@ _lock = threading.Lock()
 #: kernel call.
 _backend: str | None = None
 
-#: Implementation pair for the resolved backend.
+#: Implementations for the resolved backend.
 _impl_minhash = None
 _impl_counts = None
+_impl_nearest = None
+_impl_shortlist = None
+
+
+class ModeRuns(NamedTuple):
+    """The k modes inverted on their *(attribute, code)* tokens.
+
+    Attribute ``a`` owns positions ``[a·k, (a+1)·k)`` of ``members``,
+    the mode ids sorted by their code on ``a``; the modes holding one
+    code form a run.  Built by :class:`~repro.kmodes.postings.ModePostings`
+    only while ``m · span`` fits in int64, so no key overflows.
+    """
+
+    #: smallest mode code; every code lies in ``[low, low + span)``
+    low: int
+    span: int
+    #: ``(k·m,)`` int64 mode ids, attribute-major, in code order
+    members: np.ndarray
+    #: ``(runs,)`` int64 ascending keys ``attribute · span + code − low``
+    run_keys: np.ndarray
+    #: ``(runs,)`` int64 first position of each run in ``members``
+    run_starts: np.ndarray
+    #: ``(runs,)`` int64 number of modes in each run
+    run_lengths: np.ndarray
+    #: ``(m + 1,)`` int64 index of each attribute's first run
+    attr_runs: np.ndarray
 
 
 def _requested() -> str:
@@ -99,19 +155,21 @@ def _try_c():
     return (
         functools.partial(c_minhash_signatures, library),
         functools.partial(c_count_update, library),
+        functools.partial(c_nearest_modes, library),
+        functools.partial(c_shortlist_matching, library),
     )
 
 
 def _select() -> None:
     """Resolve the backend once per process (idempotent, thread-safe)."""
-    global _backend, _impl_minhash, _impl_counts
+    global _backend, _impl_minhash, _impl_counts, _impl_nearest, _impl_shortlist
     with _lock:
         if _backend is not None:
             return
         if _requested() == "auto":
-            pair = _try_c()
-            if pair is not None:
-                _impl_minhash, _impl_counts = pair
+            impls = _try_c()
+            if impls is not None:
+                _impl_minhash, _impl_counts, _impl_nearest, _impl_shortlist = impls
                 _backend = "c"
                 return
             # The compiled tier was wanted but could not be built:
@@ -124,16 +182,20 @@ def _select() -> None:
             )
         _impl_minhash = _numpy.minhash_signatures
         _impl_counts = _numpy.count_update
+        _impl_nearest = _numpy.nearest_modes
+        _impl_shortlist = _numpy.shortlist_matching
         _backend = "numpy"
 
 
 def _reset_backend() -> None:
     """Forget the resolved backend (test hook; selection re-runs lazily)."""
-    global _backend, _impl_minhash, _impl_counts
+    global _backend, _impl_minhash, _impl_counts, _impl_nearest, _impl_shortlist
     with _lock:
         _backend = None
         _impl_minhash = None
         _impl_counts = None
+        _impl_nearest = None
+        _impl_shortlist = None
 
 
 def active_backend() -> str:
@@ -208,3 +270,114 @@ def count_update(
     values = np.ascontiguousarray(values, dtype=np.int64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     return _impl_counts(dense, values, labels)
+
+
+def nearest_modes(
+    X: np.ndarray,
+    current: np.ndarray | None,
+    runs: ModeRuns,
+    block_rows: int = 256,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest mode and its matching distance for every row of ``X``.
+
+    Parameters
+    ----------
+    X:
+        ``(n_rows, m)`` integer category codes; any int64 value, codes
+        outside the modes' range match no mode.
+    current:
+        ``None``, or ``(n_rows,)`` labels below k: a row whose current
+        mode (``current >= 0``) is at least as close as the first
+        minimum keeps it.
+    runs:
+        The mode postings' :class:`ModeRuns`.
+    block_rows:
+        Rows the NumPy tier scores per ``(rows, k)`` distance block; the
+        compiled tier keeps one counter per mode and ignores it.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        ``(labels, distances)``, int64: the first minimum (ties to the
+        smallest mode id) after the keep-current rule, and its distance.
+    """
+    if _backend is None:
+        _select()
+    m = len(runs.attr_runs) - 1
+    X = np.ascontiguousarray(X, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != m:
+        raise DataValidationError(
+            f"X must be a 2-D matrix with {m} attributes, got shape {X.shape}"
+        )
+    if current is not None:
+        current = np.ascontiguousarray(current, dtype=np.int64)
+        if current.shape != (X.shape[0],):
+            raise DataValidationError(
+                f"current holds {current.shape} labels for {X.shape[0]} rows"
+            )
+        _require_below(current, len(runs.members) // m, "current")
+    return _impl_nearest(X, current, runs, int(block_rows))
+
+
+def shortlist_matching(
+    block: np.ndarray,
+    candidates: np.ndarray,
+    sizes: np.ndarray,
+    centroids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-minimum matching distance over ragged candidate lists.
+
+    Parameters
+    ----------
+    block:
+        ``(n_rows, m)`` integer category codes.
+    candidates:
+        Each row's sorted, non-empty list of ids into ``centroids``,
+        concatenated in row order.
+    sizes:
+        ``(n_rows,)`` list lengths, each at least 1, summing to
+        ``len(candidates)``.
+    centroids:
+        ``(k, m)`` integer mode codes.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        ``(labels, distances)``, int64: per row, the candidate with the
+        fewest mismatching attributes (the smallest id among ties) and
+        that count.
+    """
+    if _backend is None:
+        _select()
+    for name, array in (("block", block), ("centroids", centroids)):
+        if np.ndim(array) != 2 or not np.issubdtype(np.asarray(array).dtype, np.integer):
+            raise DataValidationError(f"{name} must be a 2-D integer matrix")
+    block = np.ascontiguousarray(block, dtype=np.int64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.int64)
+    candidates = np.ascontiguousarray(candidates, dtype=np.int64)
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    n, m = block.shape
+    if centroids.shape[1] != m:
+        raise DataValidationError(
+            f"block has {m} attributes but centroids have {centroids.shape[1]}"
+        )
+    if sizes.shape != (n,):
+        raise DataValidationError(f"sizes holds {sizes.shape} lengths for {n} rows")
+    if n and sizes.min() < 1:
+        raise DataValidationError("every row needs at least one candidate")
+    if candidates.ndim != 1 or int(sizes.sum()) != len(candidates):
+        raise DataValidationError(
+            f"sizes sum to {int(sizes.sum())} but {candidates.size} candidates given"
+        )
+    if len(candidates) and candidates.min() < 0:
+        raise DataValidationError(f"candidates holds id {int(candidates.min())}")
+    _require_below(candidates, len(centroids), "candidates")
+    return _impl_shortlist(block, candidates, sizes, centroids)
+
+
+def _require_below(ids: np.ndarray, k: int, name: str) -> None:
+    """The compiled loops index k-sized arrays with these ids."""
+    if len(ids) and ids.max() >= k:
+        raise DataValidationError(
+            f"{name} holds id {int(ids.max())}, but there are {k} modes"
+        )

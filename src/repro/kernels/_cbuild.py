@@ -17,6 +17,9 @@ library under a cache directory and loads it with :mod:`ctypes`:
   builds, which the dynamic loader chooses between when the library
   loads (see ``_kernels.c``), so one artifact serves every CPU that
   shares the cache;
+* every wrapper below hands the library C-contiguous int64 arrays, and
+  the :mod:`repro.kernels` entry points have validated every id and
+  label the C loops index with, so they never read outside an array;
 * the library is single-threaded: row parallelism is the engine
   backends' job, and a thread team started in a parent process would
   not survive the ``fork`` of its pool workers;
@@ -99,10 +102,12 @@ def _compile(
 
 
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the two entry points' signatures (int64 scalars/ptrs)."""
+    """Declare the four entry points' signatures (int64 scalars/ptrs)."""
     try:
         signatures = library.repro_minhash_signatures
         counts = library.repro_count_update
+        nearest = library.repro_nearest_modes
+        shortlist = library.repro_shortlist_matching
     except AttributeError as exc:  # pragma: no cover - corrupt artifact
         raise KernelBuildError(f"compiled library misses a symbol: {exc}")
     signatures.restype = ctypes.c_int
@@ -114,6 +119,16 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     counts.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _I64, _I64, _I64, _I64, _I64,
+    ]
+    nearest.restype = ctypes.c_int
+    nearest.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _I64,
+        ctypes.c_int64, ctypes.c_int64, _I64, _I64, _I64, _I64, _I64,
+        _I64, _I64,
+    ]
+    shortlist.restype = None
+    shortlist.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
     ]
     return library
 
@@ -189,3 +204,48 @@ def c_count_update(
         _ptr(dense), _ptr(new_counts),
     )
     return new_counts
+
+
+def c_nearest_modes(
+    library: ctypes.CDLL,
+    X: np.ndarray,
+    current: np.ndarray | None,
+    runs,
+    block_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    # One call for every row: the kernel keeps one counter per mode, so
+    # ``block_rows`` (the NumPy tier's memory cap) has nothing to bound.
+    n, m = X.shape
+    labels = np.empty(n, dtype=np.int64)
+    distances = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return labels, distances
+    k = len(runs.members) // m
+    status = library.repro_nearest_modes(
+        n, m, k, _ptr(X), None if current is None else _ptr(current),
+        runs.low, runs.span, _ptr(runs.members), _ptr(runs.run_keys),
+        _ptr(runs.run_starts), _ptr(runs.run_lengths), _ptr(runs.attr_runs),
+        _ptr(labels), _ptr(distances),
+    )
+    if status != 0:
+        raise MemoryError(f"nearest-mode kernel could not allocate {k} counters")
+    return labels, distances
+
+
+def c_shortlist_matching(
+    library: ctypes.CDLL,
+    block: np.ndarray,
+    candidates: np.ndarray,
+    sizes: np.ndarray,
+    centroids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    n, m = block.shape
+    labels = np.empty(n, dtype=np.int64)
+    distances = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return labels, distances
+    library.repro_shortlist_matching(
+        n, m, _ptr(block), _ptr(candidates), _ptr(sizes), _ptr(centroids),
+        _ptr(labels), _ptr(distances),
+    )
+    return labels, distances

@@ -119,7 +119,7 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
 
     def _exhaustive_assign(
         self, X: np.ndarray, centroids: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, int]:
+    ) -> np.ndarray:
         distances = _squared_distances(X, centroids)
         best = np.argmin(distances, axis=1)
         assigned = labels >= 0
@@ -128,8 +128,7 @@ class LSHKMeans(BaseLSHAcceleratedClustering):
             current = labels[rows_idx]
             keep = distances[rows_idx, current] <= distances[rows_idx, best[rows_idx]]
             best[rows_idx[keep]] = current[keep]
-        moves = int(np.count_nonzero(best != labels))
-        return best.astype(np.int64), moves
+        return best.astype(np.int64)
 
     def _point_distances(
         self, X: np.ndarray, item: int, centroids: np.ndarray

@@ -43,9 +43,7 @@ class TinyMHKModes(BaseLSHAcceleratedClustering):
 
     def _exhaustive_assign(self, X, centroids, labels):
         dists = np.count_nonzero(X[:, None, :] != centroids[None, :, :], axis=2)
-        best = np.argmin(dists, axis=1)
-        moves = int(np.count_nonzero(best != labels))
-        return best.astype(np.int64), moves
+        return np.argmin(dists, axis=1).astype(np.int64)
 
     def _point_distances(self, X, item, centroids):
         return np.count_nonzero(centroids != X[item][None, :], axis=1)

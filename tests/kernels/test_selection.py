@@ -15,6 +15,10 @@ import numpy as np
 import pytest
 
 import repro.kernels as kernels
+from repro.api import EngineSpec, LSHSpec, TrainSpec
+from repro.core.mh_kmodes import MHKModes
+from repro.core.streaming import StreamingMHKModes
+from repro.data.datgen import RuleBasedGenerator
 from repro.kernels import _cbuild
 from repro.kernels import _numpy as numpy_impl
 
@@ -23,17 +27,17 @@ P31 = (1 << 31) - 1
 _HAVE_CC = shutil.which("cc") is not None
 
 
+_STATE = ("_backend", "_impl_minhash", "_impl_counts", "_impl_nearest", "_impl_shortlist")
+
+
 @pytest.fixture
 def fresh_selection(monkeypatch):
     """Reset the cached backend; restore the session's one afterwards."""
-    saved = (kernels._backend, kernels._impl_minhash, kernels._impl_counts)
+    saved = [getattr(kernels, name) for name in _STATE]
     kernels._reset_backend()
     yield kernels
-    (
-        kernels._backend,
-        kernels._impl_minhash,
-        kernels._impl_counts,
-    ) = saved
+    for name, value in zip(_STATE, saved):
+        setattr(kernels, name, value)
 
 
 def _tiny_case():
@@ -144,6 +148,59 @@ class TestForcedFallback:
         monkeypatch.setenv("REPRO_KERNELS", "off")
         numpy_sigs = hasher.signatures(token_sets)
         assert np.array_equal(default_sigs, numpy_sigs)
+
+
+def _estimator_outputs() -> dict[str, np.ndarray]:
+    """Everything the two matching kernels decide, end to end.
+
+    MH-K-Modes fits on the serial and the process backend (exhaustive
+    setup pass and shortlist passes), ``predict`` on novel rows of
+    which half share no code with the fitted data (empty shortlists,
+    so the full scan) and a stream's bootstrap and ``extend``.
+    """
+    data = RuleBasedGenerator(
+        n_clusters=8, n_attributes=12, domain_size=300, seed=3
+    ).generate(700)
+    X, novel = data.X[:500], data.X[500:].copy()
+    novel[::2] += 300  # codes the fit never saw: nothing to collide with
+    lsh = LSHSpec(bands=8, rows=2, seed=1)
+    train = TrainSpec(max_iter=6, update_refs="batch")
+    out: dict[str, np.ndarray] = {}
+    for backend, n_jobs in (("serial", None), ("process", 2)):
+        model = MHKModes(
+            8,
+            lsh=lsh,
+            engine=EngineSpec(backend=backend, n_jobs=n_jobs),
+            train=train,
+            domain_size=600,
+        ).fit(X)
+        out[f"{backend}.labels"] = model.labels_
+        out[f"{backend}.modes"] = model.modes_
+        out[f"{backend}.moves"] = np.array([it.moves for it in model.stats_.iterations])
+        out[f"{backend}.predict"] = model.predict(novel)
+    indptr, _ = model.index_.shortlists_for_signatures(model._signatures(novel))
+    assert np.count_nonzero(np.diff(indptr) == 0) >= len(novel) // 2
+    stream = StreamingMHKModes(8, lsh=lsh, train=TrainSpec(max_iter=3), domain_size=600)
+    out["stream.bootstrap"] = stream.bootstrap(X[:300]).modes_.copy()
+    out["stream.extend"] = stream.extend(np.vstack([X[300:], novel]))
+    out["stream.modes"] = stream.modes_
+    return out
+
+
+class TestEstimatorsAcrossTiers:
+    def test_fits_predict_and_extend_are_identical(self, fresh_selection, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        default = _estimator_outputs()
+        default_backend = kernels.active_backend()
+        kernels._reset_backend()
+        monkeypatch.setenv("REPRO_KERNELS", "off")
+        fallback = _estimator_outputs()
+        assert kernels.active_backend() == "numpy"
+        if _HAVE_CC:
+            assert default_backend == "c"
+        assert default.keys() == fallback.keys()
+        for name, values in default.items():
+            assert np.array_equal(values, fallback[name]), name
 
 
 class TestBuildMachinery:

@@ -48,7 +48,8 @@ def near_modes(rng, modes, n, mutate, high):
 class TestBruteForceConformance:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        domain=st.sampled_from([1, 2, 3, 30, 40_000]),
+        domain=st.sampled_from([1, 2, 3, 30, 40_000, 2**62]),
+        shift=st.sampled_from([0, -5, -(2**62)]),
         k=st.integers(1, 12),
         m=st.integers(1, 6),
         n=st.integers(0, 25),
@@ -57,7 +58,9 @@ class TestBruteForceConformance:
         block_rows=st.sampled_from([1, 3, 256]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_random_inputs(self, seed, domain, k, m, n, duplicates, mutate, block_rows):
+    def test_random_inputs(
+        self, seed, domain, shift, k, m, n, duplicates, mutate, block_rows
+    ):
         rng = np.random.default_rng(seed)
         modes = rng.integers(0, domain, size=(k, m))
         # duplicated modes tie on every row: the smallest id must win
@@ -66,7 +69,8 @@ class TestBruteForceConformance:
         # codes up to domain + 2 lie above every mode's maximum
         X = near_modes(rng, modes, n, mutate, domain + 2)
         current = rng.integers(-1, k, size=n)
-        assert_conforms(modes, X, current, block_rows)
+        # negative codes; at domain 2**62, m · span passes 2**63 - 1
+        assert_conforms(modes + shift, X + shift, current, block_rows)
 
     def test_single_mode(self):
         modes = np.array([[4, 0, 7]])
@@ -177,3 +181,10 @@ class TestInputs:
             ModePostings(np.array([[1, 2]])).nearest(
                 np.array([[1, 2], [3, 4]]), current=np.array([0])
             )
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["postings", "dense"])
+    def test_rejects_current_labels_of_k_or_more(self, dense):
+        postings = ModePostings(np.array([[1, 2], [3, 4]]))
+        postings._dense = dense
+        with pytest.raises(DataValidationError, match="current holds label 2"):
+            postings.nearest(np.array([[1, 2], [3, 4]]), current=np.array([0, 2]))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel_mod
+import repro.kernels._numpy as numpy_kernels
 from repro.api import EngineSpec, LSHSpec, TrainSpec
 from repro.core.mh_kmodes import MHKModes
 from repro.core.shortlist import apply_fallback
@@ -145,16 +146,26 @@ class TestVectorisedPassIdentity:
         _assert_same_fit(candidate, reference)
         _assert_same_fit(chunked, reference)
 
-    @pytest.mark.parametrize("element_budget", [50, 4_000_000])
+    @pytest.mark.parametrize(
+        "kind, element_budget",
+        [
+            pytest.param("kmodes", 50, id="50"),
+            pytest.param("kmodes", 4_000_000, id="4000000"),
+            pytest.param("kmeans", 50, id="kmeans-50"),
+            pytest.param("kmeans", 4_000_000, id="kmeans-4000000"),
+        ],
+    )
     def test_identity_invariant_to_distance_budget(
-        self, categorical, element_budget, monkeypatch
+        self, kind, categorical, numeric, element_budget, monkeypatch
     ):
-        X, initial = categorical
-        reference = _fit_kmodes(X, initial, per_item=True)
-        monkeypatch.setattr(
-            parallel_mod, "_BLOCK_ELEMENT_BUDGET", element_budget
+        # the padded-tile loop: LSHKMeans on every tier, MH-K-Modes on
+        # the NumPy one (the compiled scorer builds no tiles)
+        fit, (X, initial) = (
+            (_fit_kmodes, categorical) if kind == "kmodes" else (_fit_kmeans, numeric)
         )
-        _assert_same_fit(_fit_kmodes(X, initial), reference)
+        reference = fit(X, initial, per_item=True)
+        monkeypatch.setattr(numpy_kernels, "_BLOCK_ELEMENT_BUDGET", element_budget)
+        _assert_same_fit(fit(X, initial), reference)
 
     def test_duplicate_heavy_data_stays_grouped(self):
         """Many identical rows form one giant neighbour group; the batch
